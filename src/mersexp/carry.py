@@ -7,17 +7,26 @@ is a word c of "carries", each in [t_-, t_+ - 1], satisfying
     2*c[i] - c[i-1] + s[i] = sum_j t_j * a[i-j]        (indices mod n)
 
 where a, s are the n-bit expansions and t_+ (t_-) is the sum of the
-positive (negative) coefficients.  The carry word is unique when it
-exists, so solving the recurrence both decides the congruence and
-produces a certificate for it.
+positive (negative) coefficients.  Multiplying the i-th equation by 2^i
+and summing around the cycle gives the seed identity
+
+    sum_j t_j * rot_j(a) - s = (2^n - 1) * c[n-1]
+
+with rot_j(a) the integer value of a cyclically shifted up by j.  One
+division therefore decides the congruence and fixes the final carry.
+Every solution has that final carry, and the recurrence determines
+the other carries from it, so the carry word is unique when it exists;
+solving the recurrence both decides the congruence and produces a
+certificate for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Mapping
 
-from .residues import BitSequence, ExponentFamily
+from .residues import BitSequence, ExponentFamily, from_bits
 
 __all__ = [
     "CongruenceError",
@@ -154,29 +163,104 @@ def _propagate(
     return tuple(out)
 
 
+def _term_word(form: SignedPowerForm, a: BitSequence) -> list[int]:
+    """The right-hand side T[i] = sum_j t_j * a[i-j] for every i."""
+    n = a.n
+    word = [0] * n
+    for j, t in form.terms:
+        k = j % n
+        rotated = a.bits[n - k :] + a.bits[: n - k]  # rotated[i] = a[i-k]
+        if t != 1:
+            rotated = map(t.__mul__, rotated)
+        word = list(map(add, word, rotated))
+    return word
+
+
+def _seed(form: SignedPowerForm, a: BitSequence, s: BitSequence) -> int | None:
+    """c[n-1] from the seed identity, or None when 2^n - 1 does not divide."""
+    n = a.n
+    mask = (1 << n) - 1
+    x = from_bits(a).value
+    total = 0
+    for j, t in form.terms:
+        k = j % n
+        total += t * (((x << k) | (x >> (n - k))) & mask)
+    seed, rem = divmod(total - from_bits(s).value, mask)
+    return None if rem else seed
+
+
+def _lanes(bits: tuple[int, ...], width: int) -> int:
+    """The integer holding bits[i] in its i-th lane of width bytes."""
+    lanes = bytearray(len(bits) * width)
+    lanes[::width] = bits
+    return int.from_bytes(lanes, "little")
+
+
+# maps the byte c + 128 to c mod 256, so a signed-byte view reads c back
+_FLIP_SIGN = bytes(v ^ 0x80 for v in range(256))
+
+
 def solve_carries(
     form: SignedPowerForm, a: BitSequence, s: BitSequence
 ) -> CarrySequence:
     """Find the unique carry word certifying s = l*a mod 2^n - 1.
 
-    Every candidate value of the final carry is seeded in turn; at most
-    one closes the cycle.  Raises CongruenceError when none does, which
-    is exactly the case s != l*a.
+    The seed identity gives the only possible final carry c[n-1] by one
+    division.  When it divides, the word exists: with T[i] = sum_j t_j
+    a[i-j], 2^(m+1) * c[m] = c[n-1] + sum_{i <= m} 2^i * (T[i] - s[i])
+    is an exact multiple and keeps every carry in [t_-, t_+ - 1].  The
+    whole word is then read off one more division instead of n steps:
+    with one lane of w bytes per position (base B = 256^w, wide enough
+    for any carry), the recurrence packs into
+
+        (2 - B) * C = D - c[n-1] * (B^n - 1)
+
+    where C and D hold c[i] and T[i] - s[i] in lane i.  Raises
+    CongruenceError when a division leaves a remainder, a carry falls
+    outside [t_-, t_+ - 1] or the word does not close on its seed,
+    which is exactly the case s != l*a.
     """
     if a.n != s.n:
         raise ValueError(f"length mismatch: a has {a.n} bits, s has {s.n}")
-    solutions = [
-        c
-        for seed in range(form.t_minus, form.t_plus)
-        if (c := _propagate(form, a, s, seed)) is not None
-    ]
-    if not solutions:
+    lo, hi = form.t_minus, form.t_plus - 1
+    seed = _seed(form, a, s)
+    if seed is None or not lo <= seed <= hi:
         raise CongruenceError(
             "no carry word closes the cycle: the congruence does not hold"
         )
-    if len(solutions) > 1:  # the recurrence admits exactly one solution
-        raise RuntimeError("carry uniqueness violated; this is a bug")
-    return CarrySequence(a.n, solutions[0])
+    n = a.n
+    small = lo >= -128 and hi <= 127  # every carry fits a signed byte
+    width = 1 if small else ((hi - lo).bit_length() + 7) // 8
+    bias = 128 if small else -lo
+    base = 1 << (8 * width)
+    top = base**n
+    packed = -_lanes(s.bits, width)
+    for j, t in form.terms:
+        k = j % n
+        packed += t * _lanes(a.bits[n - k :] + a.bits[: n - k], width)
+    word, rem = divmod(seed * (top - 1) - packed, base - 2)
+    word += bias * ((top - 1) // (base - 1))  # lane i holds c[i] + bias
+    if rem or not 0 <= word < top:
+        raise CongruenceError(
+            "no carry word solves the recurrence: "
+            "the congruence does not hold"
+        )
+    raw = word.to_bytes(n * width, "little")
+    if small:
+        stray = raw.translate(None, bytes(range(lo + bias, hi + bias + 1)))
+        carries = tuple(memoryview(raw.translate(_FLIP_SIGN)).cast("b"))
+    else:
+        carries = tuple(
+            int.from_bytes(raw[i : i + width], "little") - bias
+            for i in range(0, n * width, width)
+        )
+        stray = not lo <= min(carries) <= max(carries) <= hi
+    if stray or carries[-1] != seed:
+        raise CongruenceError(
+            "the carry word leaves its range or does not close the cycle: "
+            "the congruence does not hold"
+        )
+    return CarrySequence(n, carries)
 
 
 def verify_congruence(
@@ -187,13 +271,16 @@ def verify_congruence(
     Solves the recurrence, then recomputes s from (l, a, c) as a final
     cross-check.  Raises CongruenceError when the congruence fails.
     """
-    c = solve_carries(form, a, s)
-    n = a.n
-    for i in range(n):
-        s_i = _term_sum(form, a, i) - 2 * c.carries[i] + c.carries[i - 1]
-        if s_i != s.bits[i]:
-            raise RuntimeError("carry word does not reproduce s; this is a bug")
-    return c
+    result = solve_carries(form, a, s)
+    c = result.carries
+    previous = c[-1:] + c[:-1]  # previous[i] = c[i-1]
+    recomputed = [
+        term - 2 * ci + cp
+        for term, ci, cp in zip(_term_word(form, a), c, previous)
+    ]
+    if recomputed != list(s.bits):
+        raise RuntimeError("carry word does not reproduce s; this is a bug")
+    return result
 
 
 def _is_kasami_form(form: SignedPowerForm, r: int) -> bool:

@@ -21,11 +21,19 @@ from dataclasses import dataclass
 from math import gcd
 
 from .carry import canonical_form, solve_carries
-from .orderings import RMatrix, e_value, matrix_of_sequence, to_r_matrix
+from .orderings import (
+    RMatrix,
+    _regular_word,
+    e_value,
+    matrix_of_sequence,
+    to_r_matrix,
+)
 from .residues import (
+    BitSequence,
     ExponentFamily,
     NotInvertibleError,
     Residue,
+    _word_value,
     binary_weight,
     ext_euclid_inverse,
     family_exponent,
@@ -78,12 +86,7 @@ def _reduce_r(r: int, n: int, warnings: list[str]) -> int:
 
 def _assemble(rows: list[list[int]], n: int, r: int) -> int:
     """Value of the binary r-matrix: sum of 2^((i - j*r) mod n) over ones."""
-    value = 0
-    for i, row in enumerate(rows):
-        for j, bit in enumerate(row):
-            if bit:
-                value += 1 << ((i - j * r) % n)
-    return fold_mod(value, n)
+    return fold_mod(_word_value(_regular_word(rows, n, r)), n)
 
 
 def _certified(
@@ -107,9 +110,8 @@ def _certified(
             f"has weight {binary_weight(inv)}, formula says {weight}"
         )
     bits = to_bits(inv)
-    carries = solve_carries(
-        canonical_form(family), bits, to_bits(Residue(n, 1))
-    )
+    one = BitSequence(n, (1,) + (0,) * (n - 1))
+    carries = solve_carries(canonical_form(family), bits, one)
     return InverseResult(
         inverse=inv,
         weight=weight,

@@ -15,7 +15,8 @@ preserving permutations of the word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import chain
+from math import gcd, isqrt
 from typing import Sequence
 
 from .residues import BitSequence
@@ -114,11 +115,68 @@ class RMatrix:
 
     def flatten(self) -> tuple[int, ...]:
         """Back to the regular word: position (i - j*r) mod n per entry."""
-        out = [0] * self.n
-        for i, row in enumerate(self.entries):
-            for j, v in enumerate(row):
-                out[(i - j * self.r) % self.n] = v
-        return tuple(out)
+        return tuple(_regular_word(self.entries, self.n, self.r))
+
+
+def _walk(
+    seq: Sequence[int], start: int, stride: int, count: int
+) -> list[int]:
+    """seq[(start + t*stride) % m] for t < count, read as runs of slices."""
+    m = len(seq)
+    out: list[int] = []
+    x = start
+    if 2 * stride <= m:
+        while len(out) < count:
+            run = seq[x::stride][: count - len(out)]
+            out += run
+            x += len(run) * stride - m
+    else:
+        back = m - stride
+        while len(out) < count:
+            run = seq[x::-back][: count - len(out)]
+            out += run
+            x += m - len(run) * back
+    return out
+
+
+def _decimate(seq: Sequence[int], step: int) -> list[int]:
+    """[seq[(-j*step) % m] for j < m], m = len(seq), step prime to m.
+
+    Built from slices instead of one reduction mod m per entry: for the
+    k <= sqrt(m) with k*step mod m nearest 0 or m, the entries j = c,
+    c + k, c + 2k, ... walk seq with that short stride and wrap around
+    only a few times, so about 2*sqrt(m) slices cover the word.
+    """
+    m = len(seq)
+    if m <= 256:  # short words: one index per entry is cheaper
+        return [seq[(-j * step) % m] for j in range(m)]
+    g = -step % m
+    k = min(
+        range(1, isqrt(m) + 1),
+        key=lambda k: k + min(k * g % m, -k * g % m),
+    )
+    out = [0] * m
+    for c in range(k):
+        out[c::k] = _walk(seq, c * g % m, k * g % m, len(range(c, m, k)))
+    return out
+
+
+# With d = gcd(n, r) and n = d*m, position (i - j*r) mod n is
+# i + d*((-j*r/d) mod m): for d = 1 the single row is the word
+# decimated, and for d > 1 column j is the block of d consecutive
+# entries starting at d*((-j*r/d) mod m), so the columns are the word's
+# blocks decimated.
+
+
+def _regular_word(
+    rows: Sequence[Sequence[int]], n: int, r: int
+) -> list[int]:
+    """The length-n word whose r-matrix has the given rows."""
+    d = gcd(n, r)
+    inverse = pow(r // d, -1, n // d)
+    if d == 1:
+        return _decimate(rows[0], inverse)
+    return list(chain.from_iterable(_decimate(list(zip(*rows)), inverse)))
 
 
 def matrix_of_sequence(values: Sequence[int], n: int, r: int) -> RMatrix:
@@ -126,11 +184,10 @@ def matrix_of_sequence(values: Sequence[int], n: int, r: int) -> RMatrix:
     if len(values) != n:
         raise ValueError(f"expected {n} values, got {len(values)}")
     d = gcd(n, r)
-    cols = n // d
-    rows = tuple(
-        tuple(values[(i - j * r) % n] for j in range(cols)) for i in range(d)
-    )
-    return RMatrix(n, r, rows)
+    if d == 1:
+        return RMatrix(n, r, (tuple(_decimate(values, r)),))
+    blocks = list(zip(*[iter(values)] * d))
+    return RMatrix(n, r, tuple(zip(*_decimate(blocks, r // d))))
 
 
 def to_r_matrix(a: BitSequence, r: int) -> RMatrix:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Sequence
 
 __all__ = [
     "NotInvertibleError",
@@ -87,9 +88,13 @@ class BitSequence:
             raise ValueError(
                 f"expected {self.n} bits, got {len(self.bits)}"
             )
-        if any(b not in (0, 1) for b in self.bits):
+        try:  # bytearray takes only ints in [0, 255]; then drop 0s and 1s
+            stray = bytearray(self.bits).translate(None, b"\x00\x01")
+        except (TypeError, ValueError):
+            stray = True
+        if stray:
             raise ValueError("bits must be 0 or 1")
-        if all(self.bits):
+        if 0 not in self.bits:
             raise ValueError(
                 "all-ones word rejected: 2^n - 1 is the class of 0"
             )
@@ -98,14 +103,25 @@ class BitSequence:
         return sum(self.bits)
 
 
+# byte translations between the characters "0"/"1" and the bytes 0/1
+_CHARS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_BITS_TO_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def to_bits(x: Residue) -> BitSequence:
     """Binary expansion of a residue, least significant bit first."""
-    return BitSequence(x.n, tuple((x.value >> i) & 1 for i in range(x.n)))
+    word = format(x.value, f"0{x.n}b")[::-1]
+    return BitSequence(x.n, tuple(word.encode().translate(_CHARS_TO_BITS)))
+
+
+def _word_value(bits: Sequence[int]) -> int:
+    """The integer whose binary digits, least significant first, are bits."""
+    return int(bytearray(bits[::-1]).translate(_BITS_TO_CHARS), 2)
 
 
 def from_bits(b: BitSequence) -> Residue:
     """Residue with the given binary expansion."""
-    return Residue(b.n, sum(bit << i for i, bit in enumerate(b.bits)))
+    return Residue(b.n, _word_value(b.bits))
 
 
 def mul_mod(a: Residue, b: Residue) -> Residue:

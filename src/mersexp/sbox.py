@@ -8,6 +8,9 @@ pass of xor/bincount work per input difference.
 The analysis cap is n <= 24 (memory and time are O(2^n) per table and
 O(4^n) for a full uniformity scan); the MERSEXP_MAX_N environment
 variable raises the cap for the adventurous.
+
+numpy is imported by the functions that scan the field, on their first
+call, so importing this module (and the package) does not load it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from math import gcd
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .residues import ExponentFamily, Residue, family_exponent
 
@@ -31,6 +33,9 @@ __all__ = [
     "verify_compositional_inverse",
     "catalog_lookup",
 ]
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _DEFAULT_MAX_N = 24
 
@@ -68,7 +73,13 @@ def _analysis_cap() -> int:
     raw = os.environ.get("MERSEXP_MAX_N")
     if raw is None:
         return _DEFAULT_MAX_N
-    return max(int(raw, 0), _DEFAULT_MAX_N)
+    try:
+        cap = int(raw, 0)
+    except ValueError:
+        raise ValueError(
+            f"MERSEXP_MAX_N must be an integer, got {raw!r}"
+        ) from None
+    return max(cap, _DEFAULT_MAX_N)
 
 
 def _gf2_mulmod(a: int, b: int, poly: int, n: int) -> int:
@@ -203,6 +214,8 @@ def _gf2_powmod(a: int, k: int, poly: int, n: int) -> int:
 
 def _vec_mul_const(a: np.ndarray, c: int, poly: int, n: int) -> np.ndarray:
     """Elementwise GF(2^n) multiplication of an int64 array by a constant."""
+    import numpy as np
+
     res = np.zeros_like(a)
     work = a.copy()
     top = 1 << n
@@ -219,6 +232,8 @@ def _vec_mul_const(a: np.ndarray, c: int, poly: int, n: int) -> np.ndarray:
 
 
 def _tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     key = (ctx.n, ctx.reduction_polynomial)
     cached = _TABLE_CACHE.get(key)
     if cached is not None:
@@ -248,6 +263,8 @@ def _tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
 
 def power_map(l: int, ctx: FieldContext) -> np.ndarray:
     """Full-domain table of x -> x^l over GF(2^n); entry 0 is 0."""
+    import numpy as np
+
     if l < 1:
         raise ValueError(f"exponent must be positive, got {l}")
     exp, log = _tables(ctx)
@@ -264,6 +281,8 @@ def differential_uniformity(l: int, ctx: FieldContext) -> int:
     Always even and at least 2 (x and x + a produce the same output
     difference).
     """
+    import numpy as np
+
     if not 1 <= l <= ctx.order:
         raise ValueError(f"exponent must be in [1, 2^n - 1], got {l}")
     table = power_map(l, ctx)
@@ -286,6 +305,8 @@ def verify_compositional_inverse(l: int, l_inv: int, ctx: FieldContext) -> bool:
     Checked both functionally over the field and as l * l_inv = 1 mod
     2^n - 1; the two views must agree.
     """
+    import numpy as np
+
     if l < 1 or l_inv < 1:
         raise ValueError("exponents must be positive")
     modular = (l * l_inv) % ctx.order == 1
@@ -349,7 +370,9 @@ def catalog_lookup(n: int) -> list[CatalogEntry]:
             if gcd(r, n) == 1:
                 entries.append(_entry(ExponentFamily.kasami(r), n, r + 1, 1))
         if t >= 1:
-            entries.append(_entry(ExponentFamily.welch(t), n, 3, 1))
+            # 2^t + 3 has weight 3, except 5 = 0b101 at t = 1
+            welch_degree = 3 if t >= 2 else 2
+            entries.append(_entry(ExponentFamily.welch(t), n, welch_degree, 1))
             niho_degree = (t + 2) // 2 if t % 2 == 0 else t + 1
             entries.append(_entry(ExponentFamily.niho(t), n, niho_degree, 1))
         entries.append(_entry(ExponentFamily.inverse_exponent(), n, n - 1, 1))

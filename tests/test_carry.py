@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mersexp import (
     CongruenceError,
@@ -19,6 +20,102 @@ from mersexp.carry import _propagate
 
 def bits_of(value, n):
     return to_bits(Residue(n, value))
+
+
+def enumerated_carries(form, a, s):
+    """Every carry word that closes the cycle, one propagation per seed."""
+    return [
+        c
+        for seed in range(form.t_minus, form.t_plus)
+        if (c := _propagate(form, a, s, seed)) is not None
+    ]
+
+
+@st.composite
+def signed_congruences(draw):
+    """(form, n, a, s): up to six terms with |t_j| <= 3, exponents up to
+    3n, and s either l*a or an arbitrary word."""
+    n = draw(st.integers(2, 200))
+    exponents = draw(
+        st.lists(st.integers(0, 3 * n), min_size=1, max_size=6, unique=True)
+    )
+    coefficients = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    terms = {j: draw(coefficients) for j in exponents}
+    assume(sum(t << j for j, t in terms.items()) > 0)
+    form = signed_form(terms)
+    mask = (1 << n) - 1
+    a = draw(st.integers(0, mask - 1))
+    if draw(st.booleans()):
+        s = form.value() * a % mask
+    else:
+        s = draw(st.integers(0, mask - 1))
+    return form, n, a, s
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_congruences())
+def test_solve_matches_seed_enumeration(case):
+    form, n, a, s = case
+    bits_a, bits_s = bits_of(a, n), bits_of(s, n)
+    holds = (form.value() * a - s) % ((1 << n) - 1) == 0
+    closing = enumerated_carries(form, bits_a, bits_s)
+    assert len(closing) == int(holds)
+    if holds:
+        assert solve_carries(form, bits_a, bits_s).carries == closing[0]
+        assert verify_congruence(form, bits_a, bits_s).carries == closing[0]
+    else:
+        with pytest.raises(CongruenceError):
+            solve_carries(form, bits_a, bits_s)
+        with pytest.raises(CongruenceError):
+            verify_congruence(form, bits_a, bits_s)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {0: 200, 5: 100, 3: -150},  # carries up to 299: two-byte lanes
+        {7: 90, 2: 60, 0: -1},  # carries in [-1, 149]
+        {12: 1, 4: -130, 0: 131},  # carries in [-130, 131]
+        {12: 1, 8: 100, 4: -200, 0: 1},  # carries in [-200, 101]
+    ],
+)
+def test_wide_carry_ranges_match_seed_enumeration(terms):
+    form = signed_form(terms)
+    rng = random.Random(7)
+    for n in (2, 5, 11, 16):
+        mask = (1 << n) - 1
+        for _ in range(6):
+            a = rng.randrange(mask)
+            for s in (form.value() * a % mask, rng.randrange(mask)):
+                bits_a, bits_s = bits_of(a, n), bits_of(s, n)
+                closing = enumerated_carries(form, bits_a, bits_s)
+                if (form.value() * a - s) % mask == 0:
+                    c = verify_congruence(form, bits_a, bits_s)
+                    assert [c.carries] == closing
+                else:
+                    assert closing == []
+                    with pytest.raises(CongruenceError):
+                        solve_carries(form, bits_a, bits_s)
+
+
+def test_all_ones_sum_with_zero_s():
+    # sum_j t_j rot_j(a) = q (2^n - 1) with q != 0: s = 0 holds, and the
+    # seed identity must give c[n-1] = q rather than 0
+    nonzero_seeds = 0
+    shapes = ({3: 1, 0: 1}, {4: 1, 2: -1, 0: 1}, {5: 2, 3: -1, 1: 1, 0: -1})
+    for terms in shapes:
+        form = signed_form(terms)
+        for n in range(2, 9):
+            zero = bits_of(0, n)
+            for a in range(1, (1 << n) - 1):
+                if fold_mod(form.value() * a, n) != 0:
+                    continue
+                bits_a = bits_of(a, n)
+                (expected,) = enumerated_carries(form, bits_a, zero)
+                c = verify_congruence(form, bits_a, zero)
+                assert c.carries == expected
+                nonzero_seeds += c.carries[-1] != 0
+    assert nonzero_seeds > 0
 
 
 def test_canonical_forms():

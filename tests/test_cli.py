@@ -136,6 +136,13 @@ def test_exit_bad_params(capsys):
     assert code == EXIT_BAD_PARAMS
 
 
+def test_bad_cap_variable_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("MERSEXP_MAX_N", "abc")
+    code, _, err = run(capsys, "analyze", "--l", "3", "--n", "5")
+    assert code == EXIT_BAD_PARAMS
+    assert "MERSEXP_MAX_N must be an integer, got 'abc'" in err
+
+
 def test_exit_congruence_failure(capsys):
     code, _, err = run(
         capsys, "carry", "raw3", "--a", "5", "--s", "2", "--n", "4"

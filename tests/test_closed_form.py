@@ -329,3 +329,33 @@ def test_large_n_closed_form_paths():
     res = kasami_inverse(2, 1 << 16)
     assert res.case_label == "KASAMI_NDEVEN_6K2"
     assert res.weight == ((1 << 16) + 2) // 2
+
+
+@pytest.mark.parametrize(
+    "kind, r, n",
+    [
+        ("gold", 100, 301),  # GOLD_GCD1
+        ("gold", 3, 801),  # GOLD_GCDS, d = 3, m = 267
+        ("kasami", 113, 1001),  # GCD1_E6K3_T6U2
+        ("kasami", 200, 1001),  # GCD1_E6K5_REFLECTED
+        ("kasami", 35, 1001),  # NDODD_CASE_H_REFLECTED, d = 7
+        ("kasami", 250, 1000),  # NDEVEN_6K4, d = 250, m = 4
+        ("kasami", 4, 1000),  # NDEVEN_6K4, d = 4, m = 250
+        ("kasami", 17, 867),  # ND3_E6K1, d = 17, m = 51
+        ("bracken_leander", 75, 300),
+    ],
+)
+def test_large_certificates_match_oracle_and_recurrence(kind, r, n):
+    if kind == "gold":
+        res = gold_inverse(r, n)
+    elif kind == "kasami":
+        res = kasami_inverse(r, n)
+    else:
+        res = bl_inverse(r)
+    fam = ExponentFamily(kind, r)
+    assert res.inverse == oracle(family_exponent(fam, n).value, n)
+    solved = verify_congruence(
+        canonical_form(fam), to_bits(res.inverse), to_bits(Residue(n, 1))
+    )
+    assert res.carry_matrix.flatten() == solved.carries
+    assert res.r_matrix.flatten() == to_bits(res.inverse).bits

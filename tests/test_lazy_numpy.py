@@ -1,0 +1,73 @@
+"""numpy is loaded by the GF(2^n) scans only, never by the package import.
+
+Each check runs in a fresh interpreter, since this test process has
+numpy loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# run the CLI, then report on stderr whether numpy got imported
+CLI = (
+    "import sys\n"
+    "from mersexp.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
+    "raise SystemExit(code)\n"
+)
+
+
+def python(code, *argv):
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+def test_package_import_leaves_numpy_unloaded():
+    proc = python(
+        "import sys\n"
+        "import mersexp\n"
+        "from mersexp import sbox, cli\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["inverse", "kasami", "--r", "3", "--n", "7"],
+        ["carry", "gold3", "--a", "113", "--s", "1", "--n", "7"],
+    ],
+)
+def test_certificate_commands_run_without_numpy(argv):
+    proc = python(CLI, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip().endswith("numpy loaded: False")
+
+
+def test_analyze_loads_numpy_and_keeps_its_output():
+    proc = python(CLI, "--format", "json", "analyze", "--l", "57", "--n", "7")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip().endswith("numpy loaded: True")
+    assert json.loads(proc.stdout)["result"] == {
+        "uniformity": 2,
+        "apn": True,
+        "degree": 4,
+        "invertible": True,
+        "canonical": {"dec": 23, "bits": "0b0010111"},
+    }

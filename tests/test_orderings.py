@@ -114,3 +114,32 @@ def test_matrix_of_sequence_general_entries():
         (-1, 0, 2),
     )
     assert m.flatten() == (1, -1, 0, 2, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "n, r",
+    [
+        (257, 1),
+        (257, 128),
+        (257, 129),
+        (300, 7),
+        (1001, 500),
+        (1001, 1000),
+        (1024, 4),  # d = 4, m = 256
+        (1030, 2),  # d = 2, m = 515
+        (1030, 515),  # d = 515, m = 2
+        (777, 777),  # d = n, one column
+    ],
+)
+def test_matrix_matches_definition_on_long_words(n, r):
+    # entry (i, j) is the word at (i - j*r) mod n, on both sides of the
+    # length where rows switch from one index per entry to slice runs
+    rng = random.Random(n * r)
+    values = tuple(rng.randrange(-1, 3) for _ in range(n))
+    m = matrix_of_sequence(values, n, r)
+    cols = m.cols
+    assert m.entries == tuple(
+        tuple(values[(i - j * r) % n] for j in range(cols))
+        for i in range(m.d)
+    )
+    assert m.flatten() == values

@@ -161,6 +161,18 @@ def test_catalog_claims_hold_empirically_small_n():
             assert e.exponent.value.bit_count() == e.claimed_degree
 
 
+def test_catalog_claimed_degree_is_exponent_weight():
+    for n in range(2, 65):
+        for e in catalog_lookup(n):
+            assert e.claimed_degree == e.exponent.value.bit_count(), (
+                n,
+                e.family,
+            )
+    # welch(1) at n = 3 is 2 + 3 = 5 = 0b101: degree 2, not 3
+    (welch,) = [e for e in catalog_lookup(3) if e.family.kind == "welch"]
+    assert (welch.exponent.value, welch.claimed_degree) == (5, 2)
+
+
 def test_apn_invariance_of_closed_form_inverses():
     ctx = FieldContext(7)
     for r in (2, 3):
