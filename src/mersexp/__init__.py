@@ -36,12 +36,9 @@ from .carry import (
 )
 from .orderings import (
     RMatrix,
-    ROrderedSeq,
     e_value,
     from_r_matrix,
     matrix_of_sequence,
-    r_ordering,
-    regular_from_r_ordered,
     to_r_matrix,
 )
 from .closed_form import (
@@ -77,7 +74,6 @@ __all__ = [
     "InverseResult",
     "NotInvertibleError",
     "RMatrix",
-    "ROrderedSeq",
     "Residue",
     "SignedPowerForm",
     "binary_weight",
@@ -103,8 +99,6 @@ __all__ = [
     "kasami_invertible",
     "matrix_of_sequence",
     "mul_mod",
-    "r_ordering",
-    "regular_from_r_ordered",
     "signed_form",
     "solve_carries",
     "to_bits",

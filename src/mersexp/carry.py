@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Mapping
 
-from .residues import BitSequence, ExponentFamily, from_bits
+from .residues import _FAMILIES, BitSequence, ExponentFamily, from_bits
 
 __all__ = [
     "CongruenceError",
@@ -95,23 +95,15 @@ def signed_form(terms: Mapping[int, int]) -> SignedPowerForm:
 
 
 def canonical_form(f: ExponentFamily) -> SignedPowerForm:
-    """The structured low-coefficient form of a supported family.
+    """The low-coefficient signed form of a family, from its terms.
 
-    gold r            -> 2^r + 1
-    kasami r          -> 2^(2r) - 2^r + 1
-    bracken_leander r -> 2^(2r) + 2^r + 1
-    raw l             -> the plain binary expansion of l
+    Defined for gold, kasami, bracken_leander and raw (the plain binary
+    expansion of l); the other families have no signed terms.
     """
-    r = f.param
-    if f.kind == "gold":
-        return signed_form({r: 1, 0: 1})
-    if f.kind == "kasami":
-        return signed_form({2 * r: 1, r: -1, 0: 1})
-    if f.kind == "bracken_leander":
-        return signed_form({2 * r: 1, r: 1, 0: 1})
-    if f.kind == "raw":
-        return signed_form({j: 1 for j in range(r.bit_length()) if (r >> j) & 1})
-    raise ValueError(f"no canonical signed form for family {f.kind!r}")
+    terms = _FAMILIES[f.kind][0]
+    if terms is None:
+        raise ValueError(f"no canonical signed form for family {f.kind!r}")
+    return signed_form(terms(f.param))
 
 
 @dataclass(frozen=True)
@@ -283,10 +275,6 @@ def verify_congruence(
     return result
 
 
-def _is_kasami_form(form: SignedPowerForm, r: int) -> bool:
-    return form.as_dict() == {2 * r: 1, r: -1, 0: 1}
-
-
 @dataclass(frozen=True)
 class CarryReport:
     """Constraint checks for a kasami-form carry word.
@@ -318,7 +306,7 @@ def carry_constraints_check(
     Requires that c actually solves the recurrence for (form, a, s) and
     that form is the three-term kasami shape with parameter r.
     """
-    if not _is_kasami_form(form, r):
+    if form != canonical_form(ExponentFamily("kasami", r)):
         raise ValueError(f"not a kasami form with parameter {r}")
     if solve_carries(form, a, s).carries != c.carries:
         raise ValueError("carry word does not solve the recurrence for (a, s)")

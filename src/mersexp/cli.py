@@ -14,18 +14,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import gcd
 from typing import Any
 
 from .carry import (
     CongruenceError,
+    SignedPowerForm,
     canonical_form,
     carry_constraints_check,
     signed_form,
     solve_carries,
 )
 from .closed_form import (
-    InverseResult,
     bl_inverse,
     gold_inverse,
     gold_invertible,
@@ -41,6 +40,7 @@ from .residues import (
     cyclotomic_canonical,
     ext_euclid_inverse,
     family_exponent,
+    is_invertible,
     to_bits,
 )
 from .sbox import FieldContext, catalog_lookup, differential_uniformity
@@ -52,6 +52,32 @@ EXIT_NOT_INVERTIBLE = 2
 EXIT_BAD_PARAMS = 3
 EXIT_CONGRUENCE = 4
 EXIT_AUDIT_MISMATCH = 5
+
+# inverse and carry refuse larger rings before allocating anything
+MAX_RING_N = 1 << 20
+
+# the family names of the command line and the kinds they stand for
+_SHORTHANDS = {
+    "gold": "gold",
+    "kasami": "kasami",
+    "bl": "bracken_leander",
+    "raw": "raw",
+}
+
+# closed-form constructors by family kind; each name is looked up in this
+# module when called, so a wrapper bound to it here is the one that runs
+_CONSTRUCTORS = {
+    "gold": lambda r, n: gold_inverse(r, n),
+    "kasami": lambda r, n: kasami_inverse(r, n),
+    "bracken_leander": lambda r, n: bl_inverse(r),
+}
+
+# the audited families: shorthand, least n, the (r, n) with a closed form
+_AUDITED = (
+    ("gold", 2, gold_invertible),
+    ("kasami", 4, kasami_invertible),
+    ("bl", 4, lambda r, n: n == 4 * r and r % 2 == 1),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,30 +112,51 @@ def _rows_text(rows: list[list[int]]) -> str:
     )
 
 
-def _parse_l_spec(spec: str) -> tuple[Any, int | None, str]:
+def _check_ring_size(n: int) -> None:
+    if n > MAX_RING_N:
+        raise ValueError(
+            f"n={n} exceeds the ring-size limit n <= {MAX_RING_N}"
+        )
+
+
+def _doc(
+    command: str,
+    inputs: dict[str, Any],
+    result: Any,
+    case_label: str | None = None,
+    warnings: tuple[str, ...] = (),
+) -> dict[str, Any]:
+    return {
+        "command": command,
+        "inputs": inputs,
+        "result": result,
+        "case_label": case_label,
+        "warnings": list(warnings),
+    }
+
+
+def _parse_l_spec(
+    spec: str,
+) -> tuple[SignedPowerForm, ExponentFamily | None, str]:
     """Parse an exponent spec for the carry command.
 
     Accepts family shorthands gold<r>, kasami<r>, bl<r>, raw<l>, or an
     explicit signed term list like '6:1,3:-1,0:1' (exponent:coefficient
-    pairs).  Returns (form, r-or-None, echo string).
+    pairs).  Returns (form, family-or-None, echo string).
     """
     spec = spec.strip().lower()
-    for prefix, kind in (
-        ("gold", "gold"),
-        ("kasami", "kasami"),
-        ("bl", "bracken_leander"),
-        ("raw", "raw"),
-    ):
+    for prefix, kind in _SHORTHANDS.items():
         if spec.startswith(prefix) and spec[len(prefix) :].isdigit():
-            param = int(spec[len(prefix) :])
-            fam = ExponentFamily(kind, param)
-            r = None if kind == "raw" else param
-            return canonical_form(fam), r, spec
+            fam = ExponentFamily(kind, int(spec[len(prefix) :]))
+            return canonical_form(fam), fam, spec
     if ":" in spec:
         terms: dict[int, int] = {}
         for part in spec.split(","):
             j_text, _, t_text = part.partition(":")
-            terms[int(j_text, 0)] = int(t_text, 0)
+            j, t = int(j_text, 0), int(t_text, 0)
+            if j in terms:
+                raise ValueError(f"exponent {j} appears twice in {spec!r}")
+            terms[j] = t
         return signed_form(terms), None, spec
     raise ValueError(
         f"cannot parse exponent spec {spec!r}; use e.g. kasami3, raw5 "
@@ -126,53 +173,31 @@ def run_audit(n_min: int, n_max: int) -> dict[str, Any]:
     """
     checked = 0
     failures: list[dict[str, Any]] = []
-
-    def check(family: str, r: int, n: int, result: InverseResult, raw: int) -> None:
-        nonlocal checked
-        checked += 1
-        expected = ext_euclid_inverse(raw, n)
-        if result.inverse != expected:
-            failures.append(
-                {
-                    "family": family,
-                    "r": r,
-                    "n": n,
-                    "got": result.inverse.value,
-                    "expected": expected.value,
-                    "kind": "value",
-                }
-            )
-        if result.weight != binary_weight(result.inverse):
-            failures.append(
-                {
-                    "family": family,
-                    "r": r,
-                    "n": n,
-                    "got": result.weight,
-                    "expected": binary_weight(result.inverse),
-                    "kind": "weight",
-                }
-            )
-
-    for n in range(max(2, n_min), n_max + 1):
-        for r in range(1, n):
-            if gold_invertible(r, n):
-                check("gold", r, n, gold_inverse(r, n), (1 << r) + 1)
-    for n in range(max(4, n_min), n_max + 1):
-        for r in range(1, n):
-            if kasami_invertible(r, n):
-                check(
-                    "kasami",
-                    r,
-                    n,
-                    kasami_inverse(r, n),
-                    (1 << (2 * r)) - (1 << r) + 1,
-                )
-    r = 1
-    while 4 * r <= n_max:
-        if 4 * r >= n_min:
-            check("bl", r, 4 * r, bl_inverse(r), (1 << (2 * r)) + (1 << r) + 1)
-        r += 2
+    for family, n_least, has_closed_form in _AUDITED:
+        kind = _SHORTHANDS[family]
+        for n in range(max(n_least, n_min), n_max + 1):
+            for r in range(1, n):
+                if not has_closed_form(r, n):
+                    continue
+                checked += 1
+                result = _CONSTRUCTORS[kind](r, n)
+                exponent = family_exponent(ExponentFamily(kind, r), n).value
+                inverse = ext_euclid_inverse(exponent, n).value
+                for what, got, expected in (
+                    ("value", result.inverse.value, inverse),
+                    ("weight", result.weight, binary_weight(result.inverse)),
+                ):
+                    if got != expected:
+                        failures.append(
+                            {
+                                "family": family,
+                                "r": r,
+                                "n": n,
+                                "got": got,
+                                "expected": expected,
+                                "kind": what,
+                            }
+                        )
     return {
         "checked": checked,
         "passed": checked - len(failures),
@@ -183,11 +208,13 @@ def run_audit(n_min: int, n_max: int) -> dict[str, Any]:
 
 def _cmd_inverse(args: argparse.Namespace) -> dict[str, Any]:
     family = args.family
-    if family == "raw":
+    kind = _SHORTHANDS[family]
+    if kind == "raw":
         if args.l is None:
             raise ValueError("raw needs --l")
         if args.n is None:
             raise ValueError("raw needs --n")
+        _check_ring_size(args.n)
         inv = ext_euclid_inverse(args.l, args.n)
         result = {
             "inverse": _residue_doc(inv.value, args.n),
@@ -195,48 +222,35 @@ def _cmd_inverse(args: argparse.Namespace) -> dict[str, Any]:
             "r_matrix": None,
             "carry_matrix": None,
         }
-        return {
-            "command": "inverse",
-            "inputs": {"family": "raw", "l": args.l, "n": args.n},
-            "result": result,
-            "case_label": None,
-            "warnings": [],
-        }
+        inputs = {"family": "raw", "l": args.l, "n": args.n}
+        return _doc("inverse", inputs, result)
     if args.r is None:
         raise ValueError(f"{family} needs --r")
-    if family == "gold":
-        if args.n is None:
-            raise ValueError("gold needs --n")
-        res = gold_inverse(args.r, args.n)
-    elif family == "kasami":
-        if args.n is None:
-            raise ValueError("kasami needs --n")
-        res = kasami_inverse(args.r, args.n)
-    else:  # bl
-        if args.n is not None and args.n != 4 * args.r:
+    n = args.n
+    if kind == "bracken_leander":
+        if n is not None and n != 4 * args.r:
             raise ValueError(
-                f"bracken-leander fixes n = 4r = {4 * args.r}, got n={args.n}"
+                f"bracken-leander fixes n = 4r = {4 * args.r}, got n={n}"
             )
-        res = bl_inverse(args.r)
-    n = res.inverse.n
-    inputs: dict[str, Any] = {"family": family, "r": args.r, "n": n}
-    return {
-        "command": "inverse",
-        "inputs": inputs,
-        "result": {
-            "inverse": _residue_doc(res.inverse.value, n),
-            "weight": res.weight,
-            "r_matrix": _matrix_doc(res.r_matrix),
-            "carry_matrix": _matrix_doc(res.carry_matrix),
-        },
-        "case_label": res.case_label,
-        "warnings": list(res.warnings),
+        n = 4 * args.r
+    elif n is None:
+        raise ValueError(f"{family} needs --n")
+    _check_ring_size(n)
+    res = _CONSTRUCTORS[kind](args.r, n)
+    result = {
+        "inverse": _residue_doc(res.inverse.value, n),
+        "weight": res.weight,
+        "r_matrix": _matrix_doc(res.r_matrix),
+        "carry_matrix": _matrix_doc(res.carry_matrix),
     }
+    inputs = {"family": family, "r": args.r, "n": n}
+    return _doc("inverse", inputs, result, res.case_label, res.warnings)
 
 
 def _cmd_carry(args: argparse.Namespace) -> dict[str, Any]:
     n = args.n
-    form, r, echo = _parse_l_spec(args.l_spec)
+    _check_ring_size(n)
+    form, fam, echo = _parse_l_spec(args.l_spec)
     a = to_bits(Residue(n, args.a))
     s = to_bits(Residue(n, args.s))
     carries = solve_carries(form, a, s)
@@ -246,86 +260,55 @@ def _cmd_carry(args: argparse.Namespace) -> dict[str, Any]:
         "carry_matrix": None,
         "constraint_checks": None,
     }
-    if r is not None:
+    if fam is not None and fam.kind != "raw":
+        r = fam.param
         result["carry_matrix"] = _matrix_doc(
             matrix_of_sequence(carries.carries, n, r)
         )
-        if form.as_dict() == {2 * r: 1, r: -1, 0: 1}:
+        if fam.kind == "kasami":
             report = carry_constraints_check(carries, form, r, a, s)
             result["constraint_checks"] = {
                 "pair_bound_ok": report.pair_bound_ok,
                 "half_weight_ok": report.half_weight_ok,
                 "weight_identity": report.weight_identity,
             }
-    return {
-        "command": "carry",
-        "inputs": {"l": echo, "a": args.a, "s": args.s, "n": n},
-        "result": result,
-        "case_label": None,
-        "warnings": [],
-    }
+    inputs = {"l": echo, "a": args.a, "s": args.s, "n": n}
+    return _doc("carry", inputs, result)
 
 
 def _cmd_audit(args: argparse.Namespace) -> dict[str, Any]:
     if args.n_min < 2 or args.n_max < args.n_min:
         raise ValueError("need 2 <= n-min <= n-max")
     summary = run_audit(args.n_min, args.n_max)
-    return {
-        "command": "audit",
-        "inputs": {"n_min": args.n_min, "n_max": args.n_max},
-        "result": summary,
-        "case_label": None,
-        "warnings": [],
-    }
+    return _doc("audit", {"n_min": args.n_min, "n_max": args.n_max}, summary)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> dict[str, Any]:
     ctx = FieldContext(args.n)
     uniformity = differential_uniformity(args.l, ctx)
     x = Residue(args.n, args.l % ((1 << args.n) - 1))
-    invertible = gcd(args.l, (1 << args.n) - 1) == 1
-    return {
-        "command": "analyze",
-        "inputs": {"l": args.l, "n": args.n},
-        "result": {
-            "uniformity": uniformity,
-            "apn": uniformity == 2,
-            "degree": binary_weight(x),
-            "invertible": invertible,
-            "canonical": _residue_doc(
-                cyclotomic_canonical(x).value, args.n
-            ),
-        },
-        "case_label": None,
-        "warnings": [],
+    result = {
+        "uniformity": uniformity,
+        "apn": uniformity == 2,
+        "degree": binary_weight(x),
+        "invertible": is_invertible(args.l, args.n),
+        "canonical": _residue_doc(cyclotomic_canonical(x).value, args.n),
     }
+    return _doc("analyze", {"l": args.l, "n": args.n}, result)
 
 
 def _cmd_catalog(args: argparse.Namespace) -> dict[str, Any]:
     entries = []
     for entry in catalog_lookup(args.n):
+        fam = entry.family
         inverse_doc = None
-        if entry.invertible:
-            fam = entry.family
-            try:
-                if fam.kind == "gold":
-                    inverse_doc = _residue_doc(
-                        gold_inverse(fam.param, args.n).inverse.value, args.n
-                    )
-                elif fam.kind == "kasami":
-                    inverse_doc = _residue_doc(
-                        kasami_inverse(fam.param, args.n).inverse.value, args.n
-                    )
-                elif fam.kind == "bracken_leander":
-                    inverse_doc = _residue_doc(
-                        bl_inverse(fam.param).inverse.value, args.n
-                    )
-            except ValueError:
-                inverse_doc = None
+        if entry.invertible and fam.kind in _CONSTRUCTORS:
+            inverse = _CONSTRUCTORS[fam.kind](fam.param, args.n).inverse
+            inverse_doc = _residue_doc(inverse.value, args.n)
         entries.append(
             {
-                "family": entry.family.kind,
-                "param": entry.family.param,
+                "family": fam.kind,
+                "param": fam.param,
                 "exponent": _residue_doc(entry.exponent.value, args.n),
                 "claimed_degree": entry.claimed_degree,
                 "claimed_uniformity": entry.claimed_uniformity,
@@ -334,13 +317,7 @@ def _cmd_catalog(args: argparse.Namespace) -> dict[str, Any]:
                 "inverse": inverse_doc,
             }
         )
-    return {
-        "command": "catalog",
-        "inputs": {"n": args.n},
-        "result": {"entries": entries},
-        "case_label": None,
-        "warnings": [],
-    }
+    return _doc("catalog", {"n": args.n}, {"entries": entries})
 
 
 def _render_text(doc: dict[str, Any], quiet: bool) -> str:
@@ -456,7 +433,7 @@ def _build_parser() -> _Parser:
         help="closed-form inverse of a family exponent",
     )
     p_inv.add_argument(
-        "family", choices=("gold", "kasami", "bl", "raw"),
+        "family", choices=tuple(_SHORTHANDS),
         help="exponent family; raw uses the extended-Euclid oracle",
     )
     p_inv.add_argument("--r", type=_int_arg, help="family parameter r")

@@ -91,15 +91,16 @@ def _assemble(rows: list[list[int]], n: int, r: int) -> int:
 
 def _certified(
     family: ExponentFamily,
-    r: int,
     n: int,
     value: int,
     label: str,
     weight: int,
     warnings: list[str],
 ) -> InverseResult:
+    r = family.param
     inv = Residue(n, value)
-    if mul_mod(family_exponent(family, n), inv).value != 1:
+    form = canonical_form(family)
+    if mul_mod(Residue(n, fold_mod(form.value(), n)), inv).value != 1:
         raise RuntimeError(
             f"internal consistency failure: {label} at r={r}, n={n} "
             "does not invert its exponent"
@@ -111,7 +112,7 @@ def _certified(
         )
     bits = to_bits(inv)
     one = BitSequence(n, (1,) + (0,) * (n - 1))
-    carries = solve_carries(canonical_form(family), bits, one)
+    carries = solve_carries(form, bits, one)
     return InverseResult(
         inverse=inv,
         weight=weight,
@@ -154,8 +155,7 @@ def gold_inverse(r: int, n: int) -> InverseResult:
     rows = [top] * (d - 1) + [bottom]
     label = "GOLD_GCD1" if d == 1 else "GOLD_GCDS"
     return _certified(
-        ExponentFamily.gold(r),
-        r,
+        ExponentFamily("gold", r),
         n,
         _assemble(rows, n, r),
         label,
@@ -413,8 +413,7 @@ def kasami_inverse(r: int, n: int) -> InverseResult:
         )
     value, tag, weight = _kasami_closed_form(r, n)
     return _certified(
-        ExponentFamily.kasami(r),
-        r,
+        ExponentFamily("kasami", r),
         n,
         value,
         f"KASAMI_{tag}",
@@ -440,8 +439,7 @@ def bl_inverse(r: int) -> InverseResult:
         [0, 0, 0, 0] if i % 2 else [1, 1, 1, 1] for i in range(1, r)
     ]
     return _certified(
-        ExponentFamily.bracken_leander(r),
-        r,
+        ExponentFamily("bracken_leander", r),
         n,
         _assemble(rows, n, r),
         "BL",
@@ -512,10 +510,10 @@ def kasami_five_d_structure(r: int, b: int) -> tuple[int, int]:
     else:
         shift, m = (2 * (d - r)) % n, 2 * d
     shift %= n
-    kr = family_exponent(ExponentFamily.kasami(r), n)
+    kr = family_exponent(ExponentFamily("kasami", r), n)
     expected = ext_euclid_inverse(kr.value, n)
     claimed = fold_mod(
-        family_exponent(ExponentFamily.kasami(m), n).value << shift, n
+        family_exponent(ExponentFamily("kasami", m), n).value << shift, n
     )
     if claimed != expected.value:
         raise RuntimeError(
@@ -544,7 +542,8 @@ def weight_two_classification(n: int) -> list[tuple[int, Residue]]:
         (2 * third, (1 << (n - 1)) + (1 << (2 * third - 1))),
     ):
         inv = Residue(n, value)
-        if mul_mod(family_exponent(ExponentFamily.kasami(r), n), inv).value != 1:
+        kasami = family_exponent(ExponentFamily("kasami", r), n)
+        if mul_mod(kasami, inv).value != 1:
             raise RuntimeError(
                 f"internal consistency failure: weight-2 value at r={r}, n={n}"
             )

@@ -1,15 +1,10 @@
 """Decimated reorderings of length-n cyclic words.
 
-Two coordinate systems are used throughout the closed-form inverse
-constructions:
-
-* the r-ordering, a decimation by -r, defined when gcd(r, n) = 1;
-* the d x (n/d) r-matrix with entry (i, j) = a[(i - j*r) mod n],
-  d = gcd(n, r), which generalises the r-ordering to any r (with
-  d = 1 the single row is exactly the r-ordering).
-
-Rows and columns are indexed from 0.  Both reindexings are weight
-preserving permutations of the word.
+The closed-form inverse constructions work in one coordinate system:
+the d x (n/d) r-matrix with entry (i, j) = a[(i - j*r) mod n],
+d = gcd(n, r).  With d = 1 its single row is the r-ordering, the
+decimation of the word by -r.  Rows and columns are indexed from 0;
+the reindexing is a weight preserving permutation of the word.
 """
 
 from __future__ import annotations
@@ -22,11 +17,8 @@ from typing import Sequence
 from .residues import BitSequence
 
 __all__ = [
-    "ROrderedSeq",
     "RMatrix",
     "e_value",
-    "r_ordering",
-    "regular_from_r_ordered",
     "to_r_matrix",
     "matrix_of_sequence",
     "from_r_matrix",
@@ -46,41 +38,6 @@ def e_value(r: int, n: int) -> int:
     if m == 1:
         return 0
     return pow(r // d, -1, m)
-
-
-@dataclass(frozen=True)
-class ROrderedSeq:
-    """Decimation by -r of a length-n word; requires gcd(r, n) = 1.
-
-    Entry k holds the bit at position (-k*r mod n) of the regular word.
-    """
-
-    n: int
-    r: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if gcd(self.r, self.n) != 1:
-            raise ValueError(
-                f"r-ordering needs gcd(r, n) = 1, got r={self.r}, n={self.n}"
-            )
-        if len(self.entries) != self.n:
-            raise ValueError(
-                f"expected {self.n} entries, got {len(self.entries)}"
-            )
-
-
-def r_ordering(a: BitSequence, r: int) -> ROrderedSeq:
-    """Reorder a bit word by decimation with step -r."""
-    n = a.n
-    return ROrderedSeq(n, r, tuple(a.bits[(-k * r) % n] for k in range(n)))
-
-
-def regular_from_r_ordered(a: ROrderedSeq) -> BitSequence:
-    """Undo the decimation: bit i of the output is entry (-i*e mod n)."""
-    n = a.n
-    e = e_value(a.r, n)
-    return BitSequence(n, tuple(a.entries[(-i * e) % n] for i in range(n)))
 
 
 @dataclass(frozen=True)

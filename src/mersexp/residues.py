@@ -139,6 +139,8 @@ def ext_euclid_inverse(l: int, n: int) -> Residue:
     """
     if l < 1:
         raise ValueError(f"need a positive integer, got {l}")
+    if n < 2:
+        raise ValueError(f"ring parameter must be >= 2, got {n}")
     m = (1 << n) - 1
     old_r, r = l % m, m
     old_s, s = 1, 0
@@ -182,16 +184,35 @@ def cyclotomic_canonical(l: Residue) -> Residue:
     return Residue(l.n, best)
 
 
-_FAMILY_KINDS = (
-    "gold",
-    "kasami",
-    "bracken_leander",
-    "inverse",
-    "dobbertin",
-    "welch",
-    "niho",
-    "raw",
-)
+# Every exponent family, keyed by kind: (signed terms, exponent).  The
+# paper's families and raw give their terms {j: t_j}, meaning l = sum_j
+# t_j * 2^j, from the parameter; the others give their exponent from
+# the parameter and n.
+_FAMILIES = {
+    "gold": (lambda r: {r: 1, 0: 1}, None),
+    "kasami": (lambda r: {2 * r: 1, r: -1, 0: 1}, None),
+    "bracken_leander": (lambda r: {2 * r: 1, r: 1, 0: 1}, None),
+    # 2^(n-1) - 1 for odd n, its shift 2^n - 2 for even n
+    "inverse": (
+        None,
+        lambda _, n: (1 << (n - 1)) - 1 if n % 2 else (1 << n) - 2,
+    ),
+    "dobbertin": (
+        None,
+        lambda r, _: (1 << 4 * r) + (1 << 3 * r) + (1 << 2 * r) + (1 << r) - 1,
+    ),
+    "welch": (None, lambda t, _: (1 << t) + 3),
+    "niho": (
+        None,
+        lambda t, _: (1 << t)
+        + (1 << (t // 2 if t % 2 == 0 else (3 * t + 1) // 2))
+        - 1,
+    ),
+    "raw": (
+        lambda l: {j: 1 for j in range(l.bit_length()) if (l >> j) & 1},
+        None,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -207,44 +228,12 @@ class ExponentFamily:
     param: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in _FAMILY_KINDS:
+        if self.kind not in _FAMILIES:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.kind != "inverse" and self.param < 1:
             raise ValueError(
                 f"{self.kind} needs a positive parameter, got {self.param}"
             )
-
-    @classmethod
-    def gold(cls, r: int) -> "ExponentFamily":
-        return cls("gold", r)
-
-    @classmethod
-    def kasami(cls, r: int) -> "ExponentFamily":
-        return cls("kasami", r)
-
-    @classmethod
-    def bracken_leander(cls, r: int) -> "ExponentFamily":
-        return cls("bracken_leander", r)
-
-    @classmethod
-    def inverse_exponent(cls) -> "ExponentFamily":
-        return cls("inverse")
-
-    @classmethod
-    def dobbertin(cls, r: int) -> "ExponentFamily":
-        return cls("dobbertin", r)
-
-    @classmethod
-    def welch(cls, t: int) -> "ExponentFamily":
-        return cls("welch", t)
-
-    @classmethod
-    def niho(cls, t: int) -> "ExponentFamily":
-        return cls("niho", t)
-
-    @classmethod
-    def raw(cls, l: int) -> "ExponentFamily":
-        return cls("raw", l)
 
 
 def family_exponent(f: ExponentFamily, n: int) -> Residue:
@@ -253,27 +242,11 @@ def family_exponent(f: ExponentFamily, n: int) -> Residue:
     Pure evaluation: table side conditions (parity, gcd constraints)
     are not enforced here.
     """
-    p = f.param
-    if f.kind == "gold":
-        value = (1 << p) + 1
-    elif f.kind == "kasami":
-        value = (1 << (2 * p)) - (1 << p) + 1
-    elif f.kind == "bracken_leander":
-        value = (1 << (2 * p)) + (1 << p) + 1
-    elif f.kind == "inverse":
-        # 2^(n-1) - 1 for odd n, its shift 2^n - 2 for even n.
-        value = (1 << (n - 1)) - 1 if n % 2 else (1 << n) - 2
-    elif f.kind == "dobbertin":
-        value = (1 << (4 * p)) + (1 << (3 * p)) + (1 << (2 * p)) + (1 << p) - 1
-    elif f.kind == "welch":
-        value = (1 << p) + 3
-    elif f.kind == "niho":
-        if p % 2 == 0:
-            value = (1 << p) + (1 << (p // 2)) - 1
-        else:
-            value = (1 << p) + (1 << ((3 * p + 1) // 2)) - 1
-    else:  # raw
-        value = p
+    terms, exponent = _FAMILIES[f.kind]
+    if terms is None:
+        value = exponent(f.param, n)
+    else:
+        value = sum(t << j for j, t in terms(f.param).items())
     return Residue(n, fold_mod(value, n))
 
 

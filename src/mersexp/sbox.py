@@ -20,7 +20,12 @@ from dataclasses import dataclass
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .residues import ExponentFamily, Residue, family_exponent
+from .residues import (
+    ExponentFamily,
+    Residue,
+    family_exponent,
+    is_invertible,
+)
 
 __all__ = [
     "FieldContext",
@@ -337,7 +342,10 @@ class CatalogEntry:
     invertible: bool
 
 
-def _entry(fam: ExponentFamily, n: int, degree: int, table: int) -> CatalogEntry:
+def _entry(
+    kind: str, param: int, n: int, degree: int, table: int
+) -> CatalogEntry:
+    fam = ExponentFamily(kind, param)
     exponent = family_exponent(fam, n)
     return CatalogEntry(
         family=fam,
@@ -345,7 +353,7 @@ def _entry(fam: ExponentFamily, n: int, degree: int, table: int) -> CatalogEntry
         claimed_degree=degree,
         claimed_uniformity=2 if table == 1 else 4,
         source_table=table,
-        invertible=gcd(exponent.value, (1 << n) - 1) == 1,
+        invertible=is_invertible(exponent.value, n),
     )
 
 
@@ -365,35 +373,29 @@ def catalog_lookup(n: int) -> list[CatalogEntry]:
         t = n // 2
         for r in range(1, t + 1):
             if gcd(r, n) == 1:
-                entries.append(_entry(ExponentFamily.gold(r), n, 2, 1))
+                entries.append(_entry("gold", r, n, 2, 1))
         for r in range(2, t + 1):
             if gcd(r, n) == 1:
-                entries.append(_entry(ExponentFamily.kasami(r), n, r + 1, 1))
+                entries.append(_entry("kasami", r, n, r + 1, 1))
         if t >= 1:
             # 2^t + 3 has weight 3, except 5 = 0b101 at t = 1
             welch_degree = 3 if t >= 2 else 2
-            entries.append(_entry(ExponentFamily.welch(t), n, welch_degree, 1))
+            entries.append(_entry("welch", t, n, welch_degree, 1))
             niho_degree = (t + 2) // 2 if t % 2 == 0 else t + 1
-            entries.append(_entry(ExponentFamily.niho(t), n, niho_degree, 1))
-        entries.append(_entry(ExponentFamily.inverse_exponent(), n, n - 1, 1))
+            entries.append(_entry("niho", t, n, niho_degree, 1))
+        entries.append(_entry("inverse", 0, n, n - 1, 1))
         if n % 5 == 0:
-            entries.append(
-                _entry(ExponentFamily.dobbertin(n // 5), n, n // 5 + 3, 1)
-            )
+            entries.append(_entry("dobbertin", n // 5, n, n // 5 + 3, 1))
     else:
         t = n // 2
         if t % 2 == 1:
             for r in range(1, t):
                 if gcd(r, n) == 2:
-                    entries.append(_entry(ExponentFamily.gold(r), n, 2, 2))
+                    entries.append(_entry("gold", r, n, 2, 2))
             for r in range(2, t):
                 if gcd(r, n) == 2:
-                    entries.append(
-                        _entry(ExponentFamily.kasami(r), n, r + 1, 2)
-                    )
-        entries.append(_entry(ExponentFamily.inverse_exponent(), n, n - 1, 2))
+                    entries.append(_entry("kasami", r, n, r + 1, 2))
+        entries.append(_entry("inverse", 0, n, n - 1, 2))
         if n % 4 == 0 and (n // 4) % 2 == 1:
-            entries.append(
-                _entry(ExponentFamily.bracken_leander(n // 4), n, 3, 2)
-            )
+            entries.append(_entry("bracken_leander", n // 4, n, 3, 2))
     return entries

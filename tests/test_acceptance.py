@@ -138,12 +138,12 @@ def test_criterion_4_carry_certification():
     t0 = time.perf_counter()
     jobs = []
     for r, n in _gold_instances(24):
-        jobs.append((ExponentFamily.gold(r), gold_inverse(r, n).inverse, r))
+        jobs.append((ExponentFamily("gold", r), gold_inverse(r, n).inverse, r))
     for r, n in _kasami_instances(24):
-        jobs.append((ExponentFamily.kasami(r), kasami_inverse(r, n).inverse, r))
+        jobs.append((ExponentFamily("kasami", r), kasami_inverse(r, n).inverse, r))
     for r in (1, 3, 5):
         jobs.append(
-            (ExponentFamily.bracken_leander(r), bl_inverse(r).inverse, r)
+            (ExponentFamily("bracken_leander", r), bl_inverse(r).inverse, r)
         )
     for family, inverse, r in jobs:
         n = inverse.n
@@ -173,7 +173,7 @@ def test_criterion_5_worked_example():
     res = gold_inverse(3, 7)
     assert res.inverse.value == 113
     carries = solve_carries(
-        canonical_form(ExponentFamily.gold(3)),
+        canonical_form(ExponentFamily("gold", 3)),
         to_bits(res.inverse),
         to_bits(Residue(7, 1)),
     )
@@ -188,7 +188,7 @@ def test_criterion_6_apn_invariance():
         for r in range(1, n):
             if gcd(r, n) != 1:
                 continue
-            kr = family_exponent(ExponentFamily.kasami(r), n).value
+            kr = family_exponent(ExponentFamily("kasami", r), n).value
             assert differential_uniformity(kr, ctx) == 2
             inv = kasami_inverse(r, n).inverse.value
             assert differential_uniformity(inv, ctx) == 2
@@ -206,9 +206,9 @@ def test_criterion_7_five_d_structure():
         assert n <= 30
         for b in (1, 2, 3, 4, 6, 7, 8, 9, 11):
             shift, m = kasami_five_d_structure(b * d, b)
-            kr = family_exponent(ExponentFamily.kasami(b * d), n)
+            kr = family_exponent(ExponentFamily("kasami", b * d), n)
             claimed = fold_mod(
-                family_exponent(ExponentFamily.kasami(m), n).value << shift, n
+                family_exponent(ExponentFamily("kasami", m), n).value << shift, n
             )
             assert claimed == ext_euclid_inverse(kr.value, n).value
             count += 1

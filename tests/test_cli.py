@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -8,6 +9,7 @@ from mersexp.cli import (
     EXIT_BAD_PARAMS,
     EXIT_CONGRUENCE,
     EXIT_NOT_INVERTIBLE,
+    MAX_RING_N,
     main,
     run_audit,
 )
@@ -136,6 +138,13 @@ def test_exit_bad_params(capsys):
     assert code == EXIT_BAD_PARAMS
 
 
+def test_raw_inverse_rejects_small_ring(capsys):
+    for n in ("1", "0", "-3"):
+        code, out, err = run(capsys, "inverse", "raw", "--l", "3", "--n", n)
+        assert code == EXIT_BAD_PARAMS and out == ""
+        assert f"ring parameter must be >= 2, got {n}" in err
+
+
 def test_bad_cap_variable_is_named(capsys, monkeypatch):
     monkeypatch.setenv("MERSEXP_MAX_N", "abc")
     code, _, err = run(capsys, "analyze", "--l", "3", "--n", "5")
@@ -149,6 +158,47 @@ def test_exit_congruence_failure(capsys):
     )
     assert code == EXIT_CONGRUENCE
     assert "congruence" in err
+
+
+def test_carry_rejects_repeated_exponent(capsys):
+    # 2 * 3 = 6 holds, but '0:1,0:1' must not be read as l = 1
+    code, out, err = run(
+        capsys, "carry", "0:1,0:1", "--a", "3", "--s", "6", "--n", "5"
+    )
+    assert code == EXIT_BAD_PARAMS and out == ""
+    assert "exponent 0 appears twice" in err
+    code, _, err = run(
+        capsys, "carry", "3:1,0:1,3:-1", "--a", "1", "--s", "9", "--n", "5"
+    )
+    assert code == EXIT_BAD_PARAMS and "exponent 3 appears twice" in err
+    code, _, _ = run(capsys, "carry", "0:2", "--a", "3", "--s", "6", "--n", "5")
+    assert code == 0
+
+
+TOO_BIG = str(MAX_RING_N + 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["inverse", "gold", "--r", "1", "--n", TOO_BIG],
+        ["inverse", "kasami", "--r", "1", "--n", TOO_BIG],
+        ["inverse", "raw", "--l", "3", "--n", TOO_BIG],
+        ["inverse", "bl", "--r", str(MAX_RING_N // 4 + 1)],  # n = 4r
+        ["carry", "gold1", "--a", "1", "--s", "3", "--n", TOO_BIG],
+    ],
+)
+def test_ring_size_limit(capsys, argv):
+    assert MAX_RING_N == 1 << 20
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_BAD_PARAMS and out == ""
+    assert f"ring-size limit n <= {MAX_RING_N}" in err
+    assert peak < 1 << 20  # refused before any n-sized allocation
 
 
 def test_audit_ok(capsys):

@@ -163,6 +163,77 @@ def test_kasami_oracle_sweep_to_24():
                 assert kasami_inverse(r, n).inverse == oracle(value, n)
 
 
+# every case label the constructors can return
+ALL_CASE_LABELS = [
+    "GOLD_GCD1",
+    "GOLD_GCDS",
+    "BL",
+    "KASAMI_GCD1_E6K1",
+    "KASAMI_GCD1_E6K1_REFLECTED",
+    "KASAMI_GCD1_E6K5",
+    "KASAMI_GCD1_E6K5_REFLECTED",
+    "KASAMI_GCD1_E6K3_T6U1",
+    "KASAMI_GCD1_E6K3_T6U1_REFLECTED",
+    "KASAMI_GCD1_E6K3_T6U2",
+    "KASAMI_GCD1_E6K3_T6U2_REFLECTED",
+    "KASAMI_GCD1_E6K3_T6U4",
+    "KASAMI_GCD1_E6K3_T6U4_REFLECTED",
+    "KASAMI_GCD1_E6K3_T6U5",
+    "KASAMI_GCD1_E6K3_T6U5_REFLECTED",
+    "KASAMI_ND3_E6K1",
+    "KASAMI_ND3_E6K1_REFLECTED",
+    "KASAMI_ND3_E6K5",
+    "KASAMI_ND3_E6K5_REFLECTED",
+    "KASAMI_NDODD_CASE_A",
+    "KASAMI_NDODD_CASE_A_REFLECTED",
+    "KASAMI_NDODD_CASE_B",
+    "KASAMI_NDODD_CASE_B_REFLECTED",
+    "KASAMI_NDODD_CASE_C",
+    "KASAMI_NDODD_CASE_C_REFLECTED",
+    "KASAMI_NDODD_CASE_D",
+    "KASAMI_NDODD_CASE_D_REFLECTED",
+    "KASAMI_NDODD_CASE_E",
+    "KASAMI_NDODD_CASE_E_REFLECTED",
+    "KASAMI_NDODD_CASE_F",
+    "KASAMI_NDODD_CASE_F_REFLECTED",
+    "KASAMI_NDODD_CASE_G",
+    "KASAMI_NDODD_CASE_G_REFLECTED",
+    "KASAMI_NDODD_CASE_H",
+    "KASAMI_NDODD_CASE_H_REFLECTED",
+    "KASAMI_NDEVEN_6K2",
+    "KASAMI_NDEVEN_6K4",
+]
+
+
+def test_every_closed_form_case_to_n128():
+    # every invertible gold and kasami instance with n <= 128 and every
+    # bracken-leander one with r <= 31, against Python's modular inverse
+    labels = set()
+
+    def check(res, l, n):
+        expected = pow(l, -1, (1 << n) - 1)
+        assert res.inverse.value == expected
+        assert res.weight == expected.bit_count()
+        labels.add(res.case_label)
+
+    for n in range(2, 129):
+        m = (1 << n) - 1
+        for r in range(1, n):
+            gold = (1 << r) + 1
+            assert gold_invertible(r, n) == (gcd(gold, m) == 1)
+            if gcd(gold, m) == 1:
+                check(gold_inverse(r, n), gold, n)
+            kasami = (1 << (2 * r)) - (1 << r) + 1
+            if n >= 4:
+                assert kasami_invertible(r, n) == (gcd(kasami, m) == 1)
+            if n >= 4 and gcd(kasami, m) == 1:
+                check(kasami_inverse(r, n), kasami, n)
+    for r in range(1, 32, 2):
+        check(bl_inverse(r), (1 << (2 * r)) + (1 << r) + 1, 4 * r)
+    assert len(ALL_CASE_LABELS) == 37
+    assert labels == set(ALL_CASE_LABELS)
+
+
 def test_bl_examples():
     res = bl_inverse(1)
     assert res.inverse.value == 13 and res.weight == 3
@@ -231,9 +302,9 @@ def test_five_d_structure_all_classes():
         for b in (1, 2, 3, 4, 6, 7, 8, 9):
             shift, m = kasami_five_d_structure(b * d, b)
             claimed = fold_mod(
-                family_exponent(ExponentFamily.kasami(m), n).value << shift, n
+                family_exponent(ExponentFamily("kasami", m), n).value << shift, n
             )
-            kr = family_exponent(ExponentFamily.kasami(b * d), n)
+            kr = family_exponent(ExponentFamily("kasami", b * d), n)
             assert fold_mod(kr.value * claimed, n) == 1
 
 

@@ -4,17 +4,15 @@ import pytest
 
 from mersexp import (
     BitSequence,
+    RMatrix,
     Residue,
     e_value,
     from_bits,
     from_r_matrix,
     matrix_of_sequence,
-    r_ordering,
-    regular_from_r_ordered,
     to_bits,
     to_r_matrix,
 )
-from mersexp.orderings import ROrderedSeq
 
 
 def bits_of(value, n):
@@ -32,33 +30,30 @@ def test_e_value_degenerate_convention():
     assert e_value(14, 7) == 0
 
 
-def test_r_ordering_worked_example():
+def test_single_row_worked_example():
+    # with gcd(r, n) = 1 the one row is the decimation by -r:
     # 113 at n=7, r=3 decimates to (1,1,0,1,0,1,0)
-    seq = r_ordering(bits_of(113, 7), 3)
-    assert seq.entries == (1, 1, 0, 1, 0, 1, 0)
-    assert regular_from_r_ordered(seq) == bits_of(113, 7)
-
-
-def test_r_ordering_requires_coprime():
-    with pytest.raises(ValueError):
-        ROrderedSeq(6, 2, (0,) * 6)
-
-
-def test_regular_from_r_ordered_examples():
-    got = regular_from_r_ordered(ROrderedSeq(7, 3, (1, 1, 0, 1, 0, 1, 0)))
-    assert from_bits(got).value == 113
-    # a constant word is fixed by any permutation
-    zeros = ROrderedSeq(5, 2, (0,) * 5)
-    assert regular_from_r_ordered(zeros).bits == (0,) * 5
-    # the decimation of 12 at r=2 (e = 3): sum a_i 2^(-2i) = 2^3 + 2^2
-    got = regular_from_r_ordered(ROrderedSeq(5, 2, (0, 1, 0, 0, 1)))
-    assert from_bits(got).value == 12
-
-
-def test_to_r_matrix_single_row_equals_r_ordering():
     m = to_r_matrix(bits_of(113, 7), 3)
     assert m.entries == ((1, 1, 0, 1, 0, 1, 0),)
     assert m.d == 1 and m.cols == 7
+    assert from_r_matrix(m) == bits_of(113, 7)
+
+
+def test_single_row_requires_coprime():
+    # one row holds the whole word only when gcd(r, n) = 1
+    with pytest.raises(ValueError):
+        RMatrix(6, 2, ((0,) * 6,))
+
+
+def test_from_r_matrix_single_row_examples():
+    got = from_r_matrix(RMatrix(7, 3, ((1, 1, 0, 1, 0, 1, 0),)))
+    assert from_bits(got).value == 113
+    # a constant word is fixed by any permutation
+    zeros = RMatrix(5, 2, ((0,) * 5,))
+    assert from_r_matrix(zeros).bits == (0,) * 5
+    # the decimation of 12 at r=2 (e = 3): sum a_i 2^(-2i) = 2^3 + 2^2
+    got = from_r_matrix(RMatrix(5, 2, ((0, 1, 0, 0, 1),)))
+    assert from_bits(got).value == 12
 
 
 def test_to_r_matrix_zero_word():
@@ -73,8 +68,6 @@ def test_to_r_matrix_kasami_example():
 
 
 def test_from_r_matrix_examples():
-    from mersexp import RMatrix
-
     assert (
         from_bits(from_r_matrix(RMatrix(4, 1, ((1, 1, 1, 0),)))).value == 13
     )
@@ -86,8 +79,6 @@ def test_from_r_matrix_examples():
 
 
 def test_from_r_matrix_rejects_bad_entries():
-    from mersexp import RMatrix
-
     with pytest.raises(ValueError):
         from_r_matrix(RMatrix(4, 2, ((2, 0), (0, 0))))
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,42 @@ def test_irreducible_table_entries_are_minimal():
         for cand in range((1 << n) + 1, poly, 2):
             assert not is_irreducible(cand, n)
         assert smallest_irreducible(n) == poly
+
+
+def _sympy_poly(value):
+    """GF(2)[x] element in sympy's dense form, highest degree first."""
+    return [int(bit) for bit in f"{value:b}"] if value else []
+
+
+def test_irreducible_table_against_sympy():
+    # an oracle outside the package: sympy's GF(p)[x] arithmetic
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    for n in range(2, 13):
+        poly = _SMALLEST_IRREDUCIBLE[n]
+        assert gf_irreducible_p(_sympy_poly(poly), 2, ZZ)
+        for smaller in range(1 << n, poly):  # every smaller monic degree n
+            assert not gf_irreducible_p(_sympy_poly(smaller), 2, ZZ)
+
+
+def test_power_map_against_sympy():
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_pow_mod
+
+    rng = random.Random(12)
+    for n in range(2, 13):
+        ctx = FieldContext(n)
+        modulus = _sympy_poly(ctx.reduction_polynomial)
+        exponents = {1, 2, 3, ctx.order, ctx.order + 2}
+        exponents |= {rng.randrange(1, ctx.order + 1) for _ in range(4)}
+        xs = {0, 1, ctx.size - 1} | {rng.randrange(ctx.size) for _ in range(16)}
+        for l in sorted(exponents):
+            table = power_map(l, ctx)
+            for x in sorted(xs):
+                coeffs = gf_pow_mod(_sympy_poly(x), l, modulus, 2, ZZ)
+                expected = int("".join(str(int(c)) for c in coeffs) or "0", 2)
+                assert table[x] == expected, (n, l, x)
 
 
 def test_field_context_validation():
