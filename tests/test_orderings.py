@@ -30,13 +30,23 @@ def test_e_value_degenerate_convention():
     assert e_value(14, 7) == 0
 
 
-def test_single_row_worked_example():
-    # with gcd(r, n) = 1 the one row is the decimation by -r:
+def test_r_ordering_worked_example():
+    # with gcd(r, n) = 1 the r-ordering is the one row of the r-matrix:
     # 113 at n=7, r=3 decimates to (1,1,0,1,0,1,0)
     m = to_r_matrix(bits_of(113, 7), 3)
     assert m.entries == ((1, 1, 0, 1, 0, 1, 0),)
-    assert m.d == 1 and m.cols == 7
     assert from_r_matrix(m) == bits_of(113, 7)
+
+
+def test_to_r_matrix_single_row_equals_r_ordering():
+    m = to_r_matrix(bits_of(113, 7), 3)
+    assert m.d == 1 and m.cols == 7
+    # the r-ordering by definition: a_i = b_(-r*i mod n)
+    rng = random.Random(7)
+    for n, r in ((7, 3), (5, 2), (9, 4), (12, 5), (31, 30), (64, 9)):
+        bits = bits_of(rng.randrange(2**n - 1), n)
+        decimated = tuple(bits.bits[(-r * i) % n] for i in range(n))
+        assert to_r_matrix(bits, r).entries == (decimated,)
 
 
 def test_single_row_requires_coprime():
