@@ -57,7 +57,6 @@ from .sbox import (
     FieldContext,
     catalog_lookup,
     differential_uniformity,
-    is_apn,
     verify_compositional_inverse,
 )
 
@@ -92,7 +91,6 @@ __all__ = [
     "from_r_matrix",
     "gold_inverse",
     "gold_invertible",
-    "is_apn",
     "kasami_degree_bounds",
     "kasami_five_d_structure",
     "kasami_inverse",

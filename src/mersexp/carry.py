@@ -85,9 +85,6 @@ class SignedPowerForm:
     def value(self) -> int:
         return sum(t << j for j, t in self.terms)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.terms)
-
 
 def signed_form(terms: Mapping[int, int]) -> SignedPowerForm:
     """Build a SignedPowerForm from an {exponent: coefficient} mapping."""
@@ -288,10 +285,6 @@ class CarryReport:
     pair_bound_ok: bool
     half_weight_ok: bool
     weight_identity: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.pair_bound_ok and self.half_weight_ok and self.weight_identity
 
 
 def carry_constraints_check(

@@ -53,8 +53,12 @@ EXIT_BAD_PARAMS = 3
 EXIT_CONGRUENCE = 4
 EXIT_AUDIT_MISMATCH = 5
 
-# inverse and carry refuse larger rings before allocating anything
+# inverse and carry refuse larger rings before allocating anything;
+# catalog (a closed form per row, about n^2 work) and audit (every
+# instance up to n-max, about n^3) refuse larger n before any work
 MAX_RING_N = 1 << 20
+MAX_CATALOG_N = 4096
+MAX_AUDIT_N = 256
 
 # the family names of the command line and the kinds they stand for
 _SHORTHANDS = {
@@ -112,10 +116,10 @@ def _rows_text(rows: list[list[int]]) -> str:
     )
 
 
-def _check_ring_size(n: int) -> None:
-    if n > MAX_RING_N:
+def _check_limit(value: int, limit: int, what: str, name: str = "n") -> None:
+    if value > limit:
         raise ValueError(
-            f"n={n} exceeds the ring-size limit n <= {MAX_RING_N}"
+            f"{name}={value} exceeds the {what} limit {name} <= {limit}"
         )
 
 
@@ -214,7 +218,7 @@ def _cmd_inverse(args: argparse.Namespace) -> dict[str, Any]:
             raise ValueError("raw needs --l")
         if args.n is None:
             raise ValueError("raw needs --n")
-        _check_ring_size(args.n)
+        _check_limit(args.n, MAX_RING_N, "ring-size")
         inv = ext_euclid_inverse(args.l, args.n)
         result = {
             "inverse": _residue_doc(inv.value, args.n),
@@ -235,7 +239,7 @@ def _cmd_inverse(args: argparse.Namespace) -> dict[str, Any]:
         n = 4 * args.r
     elif n is None:
         raise ValueError(f"{family} needs --n")
-    _check_ring_size(n)
+    _check_limit(n, MAX_RING_N, "ring-size")
     res = _CONSTRUCTORS[kind](args.r, n)
     result = {
         "inverse": _residue_doc(res.inverse.value, n),
@@ -249,7 +253,7 @@ def _cmd_inverse(args: argparse.Namespace) -> dict[str, Any]:
 
 def _cmd_carry(args: argparse.Namespace) -> dict[str, Any]:
     n = args.n
-    _check_ring_size(n)
+    _check_limit(n, MAX_RING_N, "ring-size")
     form, fam, echo = _parse_l_spec(args.l_spec)
     a = to_bits(Residue(n, args.a))
     s = to_bits(Residue(n, args.s))
@@ -279,6 +283,7 @@ def _cmd_carry(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_audit(args: argparse.Namespace) -> dict[str, Any]:
     if args.n_min < 2 or args.n_max < args.n_min:
         raise ValueError("need 2 <= n-min <= n-max")
+    _check_limit(args.n_max, MAX_AUDIT_N, "audit", "n-max")
     summary = run_audit(args.n_min, args.n_max)
     return _doc("audit", {"n_min": args.n_min, "n_max": args.n_max}, summary)
 
@@ -298,6 +303,7 @@ def _cmd_analyze(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> dict[str, Any]:
+    _check_limit(args.n, MAX_CATALOG_N, "catalog")
     entries = []
     for entry in catalog_lookup(args.n):
         fam = entry.family

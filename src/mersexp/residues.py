@@ -66,9 +66,6 @@ class Residue:
                 f"{self.value} is not canonical mod 2^{self.n} - 1"
             )
 
-    def __int__(self) -> int:
-        return self.value
-
 
 @dataclass(frozen=True)
 class BitSequence:

@@ -5,9 +5,9 @@ of x -> x^l over the whole field goes through discrete-log tables built
 once per field context, so the differential-uniformity scan is a flat
 pass of xor/bincount work per input difference.
 
-The analysis cap is n <= 24 (memory and time are O(2^n) per table and
-O(4^n) for a full uniformity scan); the MERSEXP_MAX_N environment
-variable raises the cap for the adventurous.
+Field analysis is capped at n <= MAX_FIELD_N = 24: memory and time are
+O(2^n) per table and O(4^n) for a full uniformity scan.  The default
+reduction polynomial of each degree is found by search, not stored.
 
 numpy is imported by the functions that scan the field, on their first
 call, so importing this module (and the package) does not load it.
@@ -15,8 +15,8 @@ call, so importing this module (and the package) does not load it.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 from typing import TYPE_CHECKING
 
@@ -34,7 +34,6 @@ __all__ = [
     "smallest_irreducible",
     "power_map",
     "differential_uniformity",
-    "is_apn",
     "verify_compositional_inverse",
     "catalog_lookup",
 ]
@@ -42,49 +41,7 @@ __all__ = [
 if TYPE_CHECKING:
     import numpy as np
 
-_DEFAULT_MAX_N = 24
-
-# Lexicographically smallest irreducible polynomial of each degree,
-# encoded as an (n+1)-bit integer.  Frozen; re-derivable from
-# smallest_irreducible, which the test suite does.
-_SMALLEST_IRREDUCIBLE: dict[int, int] = {
-    2: 0b111,
-    3: 0b1011,
-    4: 0b10011,
-    5: 0b100101,
-    6: 0b1000011,
-    7: 0b10000011,
-    8: 0b100011011,
-    9: 0b1000000011,
-    10: 0b10000001001,
-    11: 0b100000000101,
-    12: 0b1000000001001,
-    13: 0b10000000011011,
-    14: 0b100000000100001,
-    15: 0b1000000000000011,
-    16: 0b10000000000101011,
-    17: 0b100000000000001001,
-    18: 0b1000000000000001001,
-    19: 0b10000000000000100111,
-    20: 0b100000000000000001001,
-    21: 0b1000000000000000000101,
-    22: 0b10000000000000000000011,
-    23: 0b100000000000000000100001,
-    24: 0b1000000000000000000011011,
-}
-
-
-def _analysis_cap() -> int:
-    raw = os.environ.get("MERSEXP_MAX_N")
-    if raw is None:
-        return _DEFAULT_MAX_N
-    try:
-        cap = int(raw, 0)
-    except ValueError:
-        raise ValueError(
-            f"MERSEXP_MAX_N must be an integer, got {raw!r}"
-        ) from None
-    return max(cap, _DEFAULT_MAX_N)
+MAX_FIELD_N = 24
 
 
 def _gf2_mulmod(a: int, b: int, poly: int, n: int) -> int:
@@ -144,10 +101,15 @@ def is_irreducible(poly: int, n: int) -> bool:
     )
 
 
+@cache
 def smallest_irreducible(n: int) -> int:
-    """Lexicographically smallest irreducible polynomial of degree n."""
-    if n in _SMALLEST_IRREDUCIBLE:
-        return _SMALLEST_IRREDUCIBLE[n]
+    """Lexicographically smallest irreducible polynomial of degree n.
+
+    Encoded as an (n+1)-bit integer.  Degrees below 2 are refused: the
+    search would never end on them.
+    """
+    if n < 2:
+        raise ValueError(f"degree must be >= 2, got {n}")
     cand = (1 << n) + 1
     while not is_irreducible(cand, n):
         cand += 2
@@ -168,16 +130,15 @@ class FieldContext:
     reduction_polynomial: int = 0
 
     def __post_init__(self) -> None:
-        cap = _analysis_cap()
-        if not 2 <= self.n <= cap:
+        if not 2 <= self.n <= MAX_FIELD_N:
             raise ValueError(
-                f"field analysis supports 2 <= n <= {cap}, got {self.n}"
+                f"field analysis supports 2 <= n <= {MAX_FIELD_N}, got {self.n}"
             )
         if self.reduction_polynomial == 0:
             object.__setattr__(
                 self, "reduction_polynomial", smallest_irreducible(self.n)
             )
-        if not is_irreducible(self.reduction_polynomial, self.n):
+        elif not is_irreducible(self.reduction_polynomial, self.n):
             raise ValueError(
                 f"0b{self.reduction_polynomial:b} is not a monic irreducible "
                 f"of degree {self.n}"
@@ -190,10 +151,6 @@ class FieldContext:
     @property
     def order(self) -> int:
         return (1 << self.n) - 1
-
-
-# exp/log tables per (n, polynomial); immutable once built
-_TABLE_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _find_generator(ctx: FieldContext) -> int:
@@ -236,13 +193,11 @@ def _vec_mul_const(a: np.ndarray, c: int, poly: int, n: int) -> np.ndarray:
     return res
 
 
+@cache
 def _tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
+    """exp/log tables of the field; shared by every caller, never written."""
     import numpy as np
 
-    key = (ctx.n, ctx.reduction_polynomial)
-    cached = _TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
     poly, n, order = ctx.reduction_polynomial, ctx.n, ctx.order
     g = _find_generator(ctx)
     exp = np.empty(order, dtype=np.int64)
@@ -262,7 +217,6 @@ def _tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
     log = np.empty(ctx.size, dtype=np.int64)
     log[0] = -1  # never consulted; x = 0 is special-cased
     log[exp] = np.arange(order, dtype=np.int64)
-    _TABLE_CACHE[key] = (exp, log)
     return exp, log
 
 
@@ -297,11 +251,6 @@ def differential_uniformity(l: int, ctx: FieldContext) -> int:
         diffs = table ^ table[xs ^ a]
         best = max(best, int(np.bincount(diffs, minlength=ctx.size).max()))
     return best
-
-
-def is_apn(l: int, ctx: FieldContext) -> bool:
-    """True iff x -> x^l has the least possible differential uniformity 2."""
-    return differential_uniformity(l, ctx) == 2
 
 
 def verify_compositional_inverse(l: int, l_inv: int, ctx: FieldContext) -> bool:

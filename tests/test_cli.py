@@ -9,6 +9,8 @@ from mersexp.cli import (
     EXIT_BAD_PARAMS,
     EXIT_CONGRUENCE,
     EXIT_NOT_INVERTIBLE,
+    MAX_AUDIT_N,
+    MAX_CATALOG_N,
     MAX_RING_N,
     main,
     run_audit,
@@ -145,13 +147,6 @@ def test_raw_inverse_rejects_small_ring(capsys):
         assert f"ring parameter must be >= 2, got {n}" in err
 
 
-def test_bad_cap_variable_is_named(capsys, monkeypatch):
-    monkeypatch.setenv("MERSEXP_MAX_N", "abc")
-    code, _, err = run(capsys, "analyze", "--l", "3", "--n", "5")
-    assert code == EXIT_BAD_PARAMS
-    assert "MERSEXP_MAX_N must be an integer, got 'abc'" in err
-
-
 def test_exit_congruence_failure(capsys):
     code, _, err = run(
         capsys, "carry", "raw3", "--a", "5", "--s", "2", "--n", "4"
@@ -199,6 +194,40 @@ def test_ring_size_limit(capsys, argv):
     assert code == EXIT_BAD_PARAMS and out == ""
     assert f"ring-size limit n <= {MAX_RING_N}" in err
     assert peak < 1 << 20  # refused before any n-sized allocation
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["catalog", "--n", "4097"], "n=4097 exceeds the catalog limit n <= 4096"),
+        (["catalog", "--n", "1000000000"], "catalog limit n <= 4096"),
+        (
+            ["audit", "--n-min", "2", "--n-max", "257"],
+            "n-max=257 exceeds the audit limit n-max <= 256",
+        ),
+    ],
+    ids=["catalog-4097", "catalog-10^9", "audit-257"],
+)
+def test_catalog_and_audit_limits(capsys, monkeypatch, argv, message):
+    import mersexp.cli as cli_mod
+
+    assert (MAX_CATALOG_N, MAX_AUDIT_N) == (4096, 256)
+
+    def no_work(*args):
+        raise AssertionError("work started past the limit")
+
+    monkeypatch.setattr(cli_mod, "catalog_lookup", no_work)
+    monkeypatch.setattr(cli_mod, "run_audit", no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BAD_PARAMS and out == ""
+    assert message in err
+
+
+def test_audit_at_its_limit(capsys):
+    n = str(MAX_AUDIT_N)
+    code, out, _ = run(capsys, "--quiet", "audit", "--n-min", n, "--n-max", n)
+    assert code == 0
+    assert "0 failed" in out
 
 
 def test_audit_ok(capsys):

@@ -8,12 +8,11 @@ from mersexp import (
     bl_inverse,
     catalog_lookup,
     differential_uniformity,
-    is_apn,
     kasami_inverse,
     verify_compositional_inverse,
 )
 from mersexp.sbox import (
-    _SMALLEST_IRREDUCIBLE,
+    MAX_FIELD_N,
     is_irreducible,
     power_map,
     smallest_irreducible,
@@ -28,10 +27,10 @@ def test_uniformity_examples():
     assert differential_uniformity(1, FieldContext(4)) == 16
 
 
-def test_is_apn_examples():
-    assert is_apn(9, FieldContext(7))
-    assert not is_apn(1, FieldContext(5))
-    assert is_apn(78, FieldContext(7))
+def test_apn_examples():
+    assert differential_uniformity(9, FieldContext(7)) == 2
+    assert differential_uniformity(1, FieldContext(5)) != 2
+    assert differential_uniformity(78, FieldContext(7)) == 2
 
 
 def test_compositional_inverse_examples():
@@ -63,11 +62,18 @@ def test_counting_symmetry_and_evenness():
 
 
 def test_irreducible_table_entries_are_minimal():
-    for n, poly in _SMALLEST_IRREDUCIBLE.items():
-        assert is_irreducible(poly, n)
+    assert smallest_irreducible(8) == 0b100011011  # x^8 + x^4 + x^3 + x + 1
+    for n in range(2, MAX_FIELD_N + 1):
+        poly = smallest_irreducible(n)
+        assert poly >> n == 1 and is_irreducible(poly, n)
         for cand in range((1 << n) + 1, poly, 2):
             assert not is_irreducible(cand, n)
-        assert smallest_irreducible(n) == poly
+
+
+def test_smallest_irreducible_rejects_degree_below_2():
+    for n in (1, 0, -1):
+        with pytest.raises(ValueError, match=f"degree must be >= 2, got {n}"):
+            smallest_irreducible(n)
 
 
 def _sympy_poly(value):
@@ -80,8 +86,8 @@ def test_irreducible_table_against_sympy():
     from sympy.polys.domains import ZZ
     from sympy.polys.galoistools import gf_irreducible_p
 
-    for n in range(2, 13):
-        poly = _SMALLEST_IRREDUCIBLE[n]
+    for n in range(2, MAX_FIELD_N + 1):
+        poly = smallest_irreducible(n)
         assert gf_irreducible_p(_sympy_poly(poly), 2, ZZ)
         for smaller in range(1 << n, poly):  # every smaller monic degree n
             assert not gf_irreducible_p(_sympy_poly(smaller), 2, ZZ)
@@ -107,40 +113,13 @@ def test_power_map_against_sympy():
 
 
 def test_field_context_validation():
+    assert MAX_FIELD_N == 24
     with pytest.raises(ValueError):
         FieldContext(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="supports 2 <= n <= 24, got 25"):
         FieldContext(25)
     with pytest.raises(ValueError):
         FieldContext(4, 0b10101)  # x^4 + x^2 + 1 = (x^2 + x + 1)^2
-
-
-def test_env_override_raises_cap(monkeypatch):
-    monkeypatch.setenv("MERSEXP_MAX_N", "25")
-    ctx = FieldContext(25)
-    assert ctx.n == 25
-    monkeypatch.delenv("MERSEXP_MAX_N")
-    with pytest.raises(ValueError):
-        FieldContext(25)
-
-
-def _second_irreducible(n):
-    cand = smallest_irreducible(n) + 2
-    while not is_irreducible(cand, n):
-        cand += 2
-    return cand
-
-
-def test_uniformity_invariant_under_field_isomorphism():
-    for n in (6, 8):
-        ctx1 = FieldContext(n)
-        ctx2 = FieldContext(n, _second_irreducible(n))
-        assert ctx1.reduction_polynomial != ctx2.reduction_polynomial
-        for entry in catalog_lookup(n):
-            l = entry.exponent.value
-            assert differential_uniformity(l, ctx1) == differential_uniformity(
-                l, ctx2
-            )
 
 
 def test_catalog_n7():
@@ -215,6 +194,6 @@ def test_apn_invariance_of_closed_form_inverses():
     ctx = FieldContext(7)
     for r in (2, 3):
         inv = kasami_inverse(r, 7).inverse.value
-        assert is_apn(inv, ctx)
+        assert differential_uniformity(inv, ctx) == 2
     ctx12 = FieldContext(12)
     assert differential_uniformity(bl_inverse(3).inverse.value, ctx12) == 4
