@@ -18,15 +18,21 @@ Every solution has that final carry, and the recurrence determines
 the other carries from it, so the carry word is unique when it exists;
 solving the recurrence both decides the congruence and produces a
 certificate for it.
+
+The solver and verify_congruence's cross-check pack a word into one
+integer, a lane of w bytes (base B = 256^w) per position.  The check
+recomputes every s[i] = T[i] - 2*c[i] + c[i-1] at once, on lanes that
+keep each per-lane difference, at most 2*(t_+ - t_-) - 1, below B/2:
+then the integers are equal only if every lane is.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from operator import add
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .residues import _FAMILIES, BitSequence, ExponentFamily, from_bits
+from .residues import _FAMILIES, BitSequence, ExponentFamily, _word_value
 
 __all__ = [
     "CongruenceError",
@@ -152,40 +158,29 @@ def _propagate(
     return tuple(out)
 
 
-def _term_word(form: SignedPowerForm, a: BitSequence) -> list[int]:
-    """The right-hand side T[i] = sum_j t_j * a[i-j] for every i."""
-    n = a.n
-    word = [0] * n
-    for j, t in form.terms:
-        k = j % n
-        rotated = a.bits[n - k :] + a.bits[: n - k]  # rotated[i] = a[i-k]
-        if t != 1:
-            rotated = map(t.__mul__, rotated)
-        word = list(map(add, word, rotated))
-    return word
+def _rotations(terms: Iterable, x: int, n: int, lane: int) -> int:
+    """sum_j t_j * rot_j(x) for x holding n lanes of lane bits each.
 
-
-def _seed(form: SignedPowerForm, a: BitSequence, s: BitSequence) -> int | None:
-    """c[n-1] from the seed identity, or None when 2^n - 1 does not divide."""
-    n = a.n
-    mask = (1 << n) - 1
-    x = from_bits(a).value
+    rot_j moves lane i to lane i + j mod n with one shift and one mask,
+    so when lane i of x holds a[i], lane i of rot_j(x) holds a[i-j].
+    """
+    size = n * lane
+    mask = (1 << size) - 1
     total = 0
-    for j, t in form.terms:
-        k = j % n
-        total += t * (((x << k) | (x >> (n - k))) & mask)
-    seed, rem = divmod(total - from_bits(s).value, mask)
-    return None if rem else seed
+    for j, t in terms:
+        k = j % n * lane
+        total += t * (((x << k) | (x >> (size - k))) & mask)
+    return total
 
 
-def _lanes(bits: tuple[int, ...], width: int) -> int:
+def _lanes(bits: bytes, width: int) -> int:
     """The integer holding bits[i] in its i-th lane of width bytes."""
     lanes = bytearray(len(bits) * width)
     lanes[::width] = bits
     return int.from_bytes(lanes, "little")
 
 
-# maps the byte c + 128 to c mod 256, so a signed-byte view reads c back
+# flips a byte's sign bit: c + 128 <-> c mod 256 for a signed byte c
 _FLIP_SIGN = bytes(v ^ 0x80 for v in range(256))
 
 
@@ -212,21 +207,21 @@ def solve_carries(
     if a.n != s.n:
         raise ValueError(f"length mismatch: a has {a.n} bits, s has {s.n}")
     lo, hi = form.t_minus, form.t_plus - 1
-    seed = _seed(form, a, s)
-    if seed is None or not lo <= seed <= hi:
+    n = a.n
+    a_bytes, s_bytes = bytes(a.bits), bytes(s.bits)  # a bit per byte
+    total = _rotations(form.terms, _word_value(a_bytes), n, 1)
+    seed, rem = divmod(total - _word_value(s_bytes), (1 << n) - 1)
+    if rem or not lo <= seed <= hi:
         raise CongruenceError(
             "no carry word closes the cycle: the congruence does not hold"
         )
-    n = a.n
     small = lo >= -128 and hi <= 127  # every carry fits a signed byte
     width = 1 if small else ((hi - lo).bit_length() + 7) // 8
     bias = 128 if small else -lo
     base = 1 << (8 * width)
     top = base**n
-    packed = -_lanes(s.bits, width)
-    for j, t in form.terms:
-        k = j % n
-        packed += t * _lanes(a.bits[n - k :] + a.bits[: n - k], width)
+    packed = _rotations(form.terms, _lanes(a_bytes, width), n, 8 * width)
+    packed -= _lanes(s_bytes, width)
     word, rem = divmod(seed * (top - 1) - packed, base - 2)
     word += bias * ((top - 1) // (base - 1))  # lane i holds c[i] + bias
     if rem or not 0 <= word < top:
@@ -258,18 +253,45 @@ def verify_congruence(
     """Decide s = l*a mod 2^n - 1 and return the certifying carries.
 
     Solves the recurrence, then recomputes s from (l, a, c) as a final
-    cross-check.  Raises CongruenceError when the congruence fails.
+    cross-check on lanes of w bytes, B = 256^w: the integer
+        sum_j t_j * rot_j(A) - 2*C + rot_1(C) + bias * (B^n - 1)/(B - 1)
+    must equal S, where lane i of A, S and C holds a[i], s[i], c[i] + bias.
+    Lane i of the difference, T[i] - 2*c[i] + c[i-1] - s[i], is at most
+    2*(t_+ - t_-) - 1 in size for carries in [t_-, t_+ - 1]; w keeps that
+    below B/2, so the integers are equal only if every lane is.  Raises
+    CongruenceError when the congruence fails, RuntimeError when the
+    solved word leaves its range or does not reproduce s.
     """
     result = solve_carries(form, a, s)
-    c = result.carries
-    previous = c[-1:] + c[:-1]  # previous[i] = c[i-1]
-    recomputed = [
-        term - 2 * ci + cp
-        for term, ci, cp in zip(_term_word(form, a), c, previous)
-    ]
-    if recomputed != list(s.bits):
+    lo, hi = form.t_minus, form.t_plus - 1
+    width = (2 * (hi - lo) + 1).bit_length() // 8 + 1  # B > 2 * max |d[i]|
+    carries, bias = _carry_lanes(result.carries, lo, hi, width)
+    n, lane = a.n, 8 * width
+    recomputed = (
+        _rotations(form.terms, _lanes(bytes(a.bits), width), n, lane)
+        + _rotations(((0, -2), (1, 1)), carries, n, lane)
+        + bias * (((1 << n * lane) - 1) // ((1 << lane) - 1))
+    )
+    if recomputed != _lanes(bytes(s.bits), width):
         raise RuntimeError("carry word does not reproduce s; this is a bug")
     return result
+
+
+def _carry_lanes(c: tuple, lo: int, hi: int, width: int) -> tuple[int, int]:
+    """(C, bias) with c[i] + bias in lane i of C; c must lie in [lo, hi]."""
+    stray = RuntimeError("carry word leaves its range; this is a bug")
+    if width == 1:  # a signed byte per carry; flipping its sign bit adds 128
+        try:
+            raw = struct.pack(f"{len(c)}b", *c).translate(_FLIP_SIGN)
+        except struct.error:  # a carry beyond a signed byte
+            raise stray from None
+        if raw.translate(None, bytes(range(lo + 128, hi + 129))):
+            raise stray
+        return int.from_bytes(raw, "little"), 128
+    if not lo <= min(c) <= max(c) <= hi:
+        raise stray
+    raw = b"".join((ci - lo).to_bytes(width, "little") for ci in c)
+    return int.from_bytes(raw, "little"), -lo
 
 
 @dataclass(frozen=True)

@@ -146,18 +146,23 @@ def _parse_l_spec(
 
     Accepts family shorthands gold<r>, kasami<r>, bl<r>, raw<l>, or an
     explicit signed term list like '6:1,3:-1,0:1' (exponent:coefficient
-    pairs).  Returns (form, family-or-None, echo string).
+    pairs).  Returns (form, family-or-None, echo string).  A term exponent
+    or a gold/kasami/bl r above MAX_RING_N is refused before 2^it is built.
     """
     spec = spec.strip().lower()
     for prefix, kind in _SHORTHANDS.items():
         if spec.startswith(prefix) and spec[len(prefix) :].isdigit():
-            fam = ExponentFamily(kind, int(spec[len(prefix) :]))
+            param = int(spec[len(prefix) :])
+            if kind != "raw":  # raw's parameter is l itself, not an exponent
+                _check_limit(param, MAX_RING_N, "family-parameter", "r")
+            fam = ExponentFamily(kind, param)
             return canonical_form(fam), fam, spec
     if ":" in spec:
         terms: dict[int, int] = {}
         for part in spec.split(","):
             j_text, _, t_text = part.partition(":")
             j, t = int(j_text, 0), int(t_text, 0)
+            _check_limit(j, MAX_RING_N, "term-exponent", "exponent")
             if j in terms:
                 raise ValueError(f"exponent {j} appears twice in {spec!r}")
             terms[j] = t

@@ -93,10 +93,16 @@ def _certified(
     family: ExponentFamily,
     n: int,
     value: int,
+    rows: list[list[int]] | None,
     label: str,
     weight: int,
     warnings: list[str],
 ) -> InverseResult:
+    """Check an inverse in the ring and attach its certificates.
+
+    The r-matrix is the rows the value was assembled from, or, with no
+    rows (the reflected kasami cases), read off the bit word.
+    """
     r = family.param
     inv = Residue(n, value)
     form = canonical_form(family)
@@ -113,11 +119,15 @@ def _certified(
     bits = to_bits(inv)
     one = BitSequence(n, (1,) + (0,) * (n - 1))
     carries = solve_carries(form, bits, one)
+    if rows is None:
+        r_matrix = to_r_matrix(bits, r)
+    else:
+        r_matrix = RMatrix(n, r, tuple(map(tuple, rows)))
     return InverseResult(
         inverse=inv,
         weight=weight,
         case_label=label,
-        r_matrix=to_r_matrix(bits, r),
+        r_matrix=r_matrix,
         carry_matrix=matrix_of_sequence(carries.carries, n, r),
         warnings=tuple(warnings),
     )
@@ -150,14 +160,15 @@ def gold_inverse(r: int, n: int) -> InverseResult:
         )
     d = gcd(r, n)
     m = n // d
-    top = [1 if (j >= 2 and j % 2 == 0) else 0 for j in range(m)]
-    bottom = [1 if (j == 0 or j % 2 == 1) else 0 for j in range(m)]
+    top = [0] + [0, 1] * (m // 2)  # m is odd
+    bottom = [1] + [1, 0] * (m // 2)
     rows = [top] * (d - 1) + [bottom]
     label = "GOLD_GCD1" if d == 1 else "GOLD_GCDS"
     return _certified(
         ExponentFamily("gold", r),
         n,
         _assemble(rows, n, r),
+        rows,
         label,
         (n - d + 2) // 2,
         warnings,
@@ -374,31 +385,29 @@ def _ndeven_rows(m: int, d: int) -> tuple[list[list[int]], str]:
     return rows, tag
 
 
-def _kasami_closed_form(r: int, n: int) -> tuple[int, str, int]:
-    """Dispatch to the closed form; returns (value, case tag, weight)."""
+def _kasami_closed_form(r: int, n: int) -> tuple[int, list | None, str, int]:
+    """Dispatch: (value, r-matrix rows or None if reflected, tag, weight)."""
     d = gcd(r, n)
     m = n // d
     e = e_value(r, n)
     if m % 2 == 0:
         rows, tag = _ndeven_rows(m, d)
-        return _assemble(rows, n, r), tag, (n + 2) // 2
-    if e % 2 == 0:
+        weight = (n + 2) // 2
+    elif e % 2 == 0:
         # the partner exponent with parameter n - r has odd e; the two
         # inverses differ by the cyclotomic shift -2r
-        value, tag, weight = _kasami_closed_form(n - r, n)
-        return (
-            fold_mod(value << ((-2 * r) % n), n),
-            tag + "_REFLECTED",
-            weight,
-        )
-    if m % 3 == 0:
+        value, _, tag, weight = _kasami_closed_form(n - r, n)
+        value = fold_mod(value << ((-2 * r) % n), n)
+        return value, None, tag + "_REFLECTED", weight
+    elif m % 3 == 0:
         rows, tag = _nd3_rows(m, e, d)
-        return _assemble(rows, n, r), tag, (n - 3 * d + 4) // 2
-    if d == 1:
+        weight = (n - 3 * d + 4) // 2
+    elif d == 1:
         seq, tag, weight = _gcd1_sequence(n, e)
-        return _assemble([seq], n, r), f"GCD1_{tag}", weight
-    rows, tag, weight = _ndodd_rows(m, e, d, n)
-    return _assemble(rows, n, r), tag, weight
+        rows, tag = [seq], f"GCD1_{tag}"
+    else:
+        rows, tag, weight = _ndodd_rows(m, e, d, n)
+    return _assemble(rows, n, r), rows, tag, weight
 
 
 def kasami_inverse(r: int, n: int) -> InverseResult:
@@ -411,11 +420,12 @@ def kasami_inverse(r: int, n: int) -> InverseResult:
         raise NotInvertibleError(
             f"2^{2 * r} - 2^{r} + 1 is not invertible mod 2^{n} - 1"
         )
-    value, tag, weight = _kasami_closed_form(r, n)
+    value, rows, tag, weight = _kasami_closed_form(r, n)
     return _certified(
         ExponentFamily("kasami", r),
         n,
         value,
+        rows,
         f"KASAMI_{tag}",
         weight,
         warnings,
@@ -435,13 +445,12 @@ def bl_inverse(r: int) -> InverseResult:
     if r < 1 or r % 2 == 0:
         raise ValueError(f"parameter must be odd and positive, got {r}")
     n = 4 * r
-    rows = [[1, 1, 1, 0]] + [
-        [0, 0, 0, 0] if i % 2 else [1, 1, 1, 1] for i in range(1, r)
-    ]
+    rows = [[1, 1, 1, 0]] + [[0, 0, 0, 0], [1, 1, 1, 1]] * (r // 2)
     return _certified(
         ExponentFamily("bracken_leander", r),
         n,
         _assemble(rows, n, r),
+        rows,
         "BL",
         2 * r + 1,
         [],

@@ -59,7 +59,7 @@ class RMatrix:
         if len(self.entries) != d:
             raise ValueError(f"expected {d} rows, got {len(self.entries)}")
         cols = self.n // d
-        if any(len(row) != cols for row in self.entries):
+        if set(map(len, self.entries)) != {cols}:
             raise ValueError(f"every row must have {cols} entries")
 
     @property

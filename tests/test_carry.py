@@ -4,12 +4,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mersexp import (
+    CarrySequence,
     CongruenceError,
     ExponentFamily,
     Residue,
     canonical_form,
     carry_constraints_check,
     fold_mod,
+    from_bits,
     signed_form,
     solve_carries,
     to_bits,
@@ -77,6 +79,10 @@ def test_solve_matches_seed_enumeration(case):
         {7: 90, 2: 60, 0: -1},  # carries in [-1, 149]
         {12: 1, 4: -130, 0: 131},  # carries in [-130, 131]
         {12: 1, 8: 100, 4: -200, 0: 1},  # carries in [-200, 101]
+        {3: 128, 0: -128},  # carries in [-128, 127]: the widest byte lanes
+        {3: 129, 0: -128},  # carries in [-128, 128]: one past them
+        {3: 32, 0: -32},  # span 64: the cross-check's widest byte lanes
+        {3: 33, 0: -32},  # span 65: one past them
     ],
 )
 def test_wide_carry_ranges_match_seed_enumeration(terms):
@@ -96,6 +102,34 @@ def test_wide_carry_ranges_match_seed_enumeration(terms):
                     assert closing == []
                     with pytest.raises(CongruenceError):
                         solve_carries(form, bits_a, bits_s)
+
+
+def test_cross_check_catches_a_corrupted_word(monkeypatch):
+    # a solver bug is caught: a middle carry moved by +-1 (still in range),
+    # out of range, or beyond a signed byte
+    import mersexp.carry as carry_mod
+
+    form = canonical_form(ExponentFamily("kasami", 3))
+    n = 101
+    a = bits_of(random.Random(5).randrange((1 << n) - 1), n)
+    s = bits_of(form.value() * from_bits(a).value % ((1 << n) - 1), n)
+    solve = carry_mod.solve_carries
+    lo, hi = form.t_minus, form.t_plus - 1
+    for step, message in (
+        (1, "does not reproduce s"),
+        (-1, "does not reproduce s"),
+        (hi - lo + 1, "leaves its range"),
+        (300, "leaves its range"),  # beyond a signed byte
+    ):
+
+        def corrupted(form, a, s):
+            c = list(solve(form, a, s).carries)
+            c[n // 2] += step if lo <= c[n // 2] + step <= hi else -step
+            return CarrySequence(n, tuple(c))
+
+        monkeypatch.setattr(carry_mod, "solve_carries", corrupted)
+        with pytest.raises(RuntimeError, match=message):
+            verify_congruence(form, a, s)
 
 
 def test_all_ones_sum_with_zero_s():

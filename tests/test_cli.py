@@ -197,6 +197,29 @@ def test_ring_size_limit(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("99999999999:1", "exceeds the term-exponent limit exponent <= "),
+        ("kasami99999999999", "exceeds the family-parameter limit r <= "),
+    ],
+    ids=["term-exponent", "kasami-r"],
+)
+def test_carry_exponent_limit(capsys, spec, message):
+    # refused before the form builds 2^exponent, which raised MemoryError
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            capsys, "carry", spec, "--a", "1", "--s", "1", "--n", "8"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_BAD_PARAMS and out == ""
+    assert f"=99999999999 {message}{MAX_RING_N}" in err
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["catalog", "--n", "4097"], "n=4097 exceeds the catalog limit n <= 4096"),

@@ -3,6 +3,7 @@ from math import gcd
 import pytest
 
 from mersexp import (
+    BitSequence,
     ExponentFamily,
     NotInvertibleError,
     Residue,
@@ -19,6 +20,7 @@ from mersexp import (
     kasami_invertible,
     solve_carries,
     to_bits,
+    to_r_matrix,
     verify_congruence,
     weight_two_classification,
 )
@@ -190,14 +192,20 @@ ALL_CASE_LABELS = [
 
 def test_every_closed_form_case_to_n128():
     # every invertible gold and kasami instance with n <= 128 and every
-    # bracken-leander one with r <= 31, against Python's modular inverse
+    # bracken-leander one with r <= 31, against Python's modular inverse;
+    # the r-matrix, taken from the assembled rows, against the bit word
     labels = set()
 
-    def check(res, l, n):
+    def check(res, l, n, family):
         expected = pow(l, -1, (1 << n) - 1)
         assert res.inverse.value == expected
         assert res.weight == expected.bit_count()
         labels.add(res.case_label)
+        bits = to_bits(res.inverse)
+        assert res.r_matrix == to_r_matrix(bits, family.param)
+        one = BitSequence(n, (1,) + (0,) * (n - 1))
+        carries = solve_carries(canonical_form(family), bits, one).carries
+        assert res.carry_matrix.flatten() == carries
 
     for n in range(2, 129):
         m = (1 << n) - 1
@@ -205,14 +213,20 @@ def test_every_closed_form_case_to_n128():
             gold = (1 << r) + 1
             assert gold_invertible(r, n) == (gcd(gold, m) == 1)
             if gcd(gold, m) == 1:
-                check(gold_inverse(r, n), gold, n)
+                check(gold_inverse(r, n), gold, n, ExponentFamily("gold", r))
             kasami = (1 << (2 * r)) - (1 << r) + 1
             if n >= 4:
                 assert kasami_invertible(r, n) == (gcd(kasami, m) == 1)
             if n >= 4 and gcd(kasami, m) == 1:
-                check(kasami_inverse(r, n), kasami, n)
+                check(
+                    kasami_inverse(r, n),
+                    kasami,
+                    n,
+                    ExponentFamily("kasami", r),
+                )
     for r in range(1, 32, 2):
-        check(bl_inverse(r), (1 << (2 * r)) + (1 << r) + 1, 4 * r)
+        bl = (1 << (2 * r)) + (1 << r) + 1
+        check(bl_inverse(r), bl, 4 * r, ExponentFamily("bracken_leander", r))
     assert len(ALL_CASE_LABELS) == 37
     assert labels == set(ALL_CASE_LABELS)
 
