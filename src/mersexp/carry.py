@@ -126,11 +126,6 @@ class CarrySequence:
         return sum(self.carries)
 
 
-def _term_sum(form: SignedPowerForm, a: BitSequence, i: int) -> int:
-    n = a.n
-    return sum(t * a.bits[(i - j) % n] for j, t in form.terms)
-
-
 def _propagate(
     form: SignedPowerForm, a: BitSequence, s: BitSequence, seed: int
 ) -> tuple[int, ...] | None:
@@ -145,7 +140,8 @@ def _propagate(
     c_prev = seed
     out = []
     for i in range(n):
-        num = c_prev - s.bits[i] + _term_sum(form, a, i)
+        terms = sum(t * a.word[(i - j) % n] for j, t in form.terms)
+        num = c_prev - s.word[i] + terms
         if num % 2 != 0:
             return None
         c = num // 2
@@ -199,18 +195,19 @@ def solve_carries(
 
         (2 - B) * C = D - c[n-1] * (B^n - 1)
 
-    where C and D hold c[i] and T[i] - s[i] in lane i.  Raises
-    CongruenceError when a division leaves a remainder, a carry falls
-    outside [t_-, t_+ - 1] or the word does not close on its seed,
-    which is exactly the case s != l*a.
+    where C and D hold c[i] and T[i] - s[i] in lane i.  The words' bytes
+    are used as they are: a lane of w bytes is a spread-out byte, the
+    top B^n = 2^(8wn) a shift and the repunit (B^n - 1)/(B - 1) lanes
+    of ones.  Raises CongruenceError when a division leaves a
+    remainder, a carry falls outside [t_-, t_+ - 1] or the word does
+    not close on its seed, which is exactly the case s != l*a.
     """
     if a.n != s.n:
         raise ValueError(f"length mismatch: a has {a.n} bits, s has {s.n}")
     lo, hi = form.t_minus, form.t_plus - 1
     n = a.n
-    a_bytes, s_bytes = bytes(a.bits), bytes(s.bits)  # a bit per byte
-    total = _rotations(form.terms, _word_value(a_bytes), n, 1)
-    seed, rem = divmod(total - _word_value(s_bytes), (1 << n) - 1)
+    total = _rotations(form.terms, _word_value(a.word), n, 1)
+    seed, rem = divmod(total - _word_value(s.word), (1 << n) - 1)
     if rem or not lo <= seed <= hi:
         raise CongruenceError(
             "no carry word closes the cycle: the congruence does not hold"
@@ -218,12 +215,12 @@ def solve_carries(
     small = lo >= -128 and hi <= 127  # every carry fits a signed byte
     width = 1 if small else ((hi - lo).bit_length() + 7) // 8
     bias = 128 if small else -lo
-    base = 1 << (8 * width)
-    top = base**n
-    packed = _rotations(form.terms, _lanes(a_bytes, width), n, 8 * width)
-    packed -= _lanes(s_bytes, width)
-    word, rem = divmod(seed * (top - 1) - packed, base - 2)
-    word += bias * ((top - 1) // (base - 1))  # lane i holds c[i] + bias
+    lane = 8 * width
+    top = 1 << (lane * n)  # B^n
+    packed = _rotations(form.terms, _lanes(a.word, width), n, lane)
+    packed -= _lanes(s.word, width)
+    word, rem = divmod(seed * (top - 1) - packed, (1 << lane) - 2)
+    word += bias * _lanes(b"\x01" * n, width)  # lane i holds c[i] + bias
     if rem or not 0 <= word < top:
         raise CongruenceError(
             "no carry word solves the recurrence: "
@@ -232,7 +229,7 @@ def solve_carries(
     raw = word.to_bytes(n * width, "little")
     if small:
         stray = raw.translate(None, bytes(range(lo + bias, hi + bias + 1)))
-        carries = tuple(memoryview(raw.translate(_FLIP_SIGN)).cast("b"))
+        carries = struct.unpack(f"{n}b", raw.translate(_FLIP_SIGN))
     else:
         carries = tuple(
             int.from_bytes(raw[i : i + width], "little") - bias
@@ -268,11 +265,11 @@ def verify_congruence(
     carries, bias = _carry_lanes(result.carries, lo, hi, width)
     n, lane = a.n, 8 * width
     recomputed = (
-        _rotations(form.terms, _lanes(bytes(a.bits), width), n, lane)
+        _rotations(form.terms, _lanes(a.word, width), n, lane)
         + _rotations(((0, -2), (1, 1)), carries, n, lane)
-        + bias * (((1 << n * lane) - 1) // ((1 << lane) - 1))
+        + bias * _lanes(b"\x01" * n, width)
     )
-    if recomputed != _lanes(bytes(s.bits), width):
+    if recomputed != _lanes(s.word, width):
         raise RuntimeError("carry word does not reproduce s; this is a bug")
     return result
 

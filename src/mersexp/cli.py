@@ -55,8 +55,11 @@ EXIT_AUDIT_MISMATCH = 5
 
 # inverse and carry refuse larger rings before allocating anything;
 # catalog (a closed form per row, about n^2 work) and audit (every
-# instance up to n-max, about n^3) refuse larger n before any work
+# instance up to n-max, about n^3) refuse larger n before any work;
+# carry refuses a term list whose carries span more values than
+# MAX_CARRY_RANGE, which keeps the solver's lanes within three bytes
 MAX_RING_N = 1 << 20
+MAX_CARRY_RANGE = 1 << 16
 MAX_CATALOG_N = 4096
 MAX_AUDIT_N = 256
 
@@ -147,7 +150,8 @@ def _parse_l_spec(
     Accepts family shorthands gold<r>, kasami<r>, bl<r>, raw<l>, or an
     explicit signed term list like '6:1,3:-1,0:1' (exponent:coefficient
     pairs).  Returns (form, family-or-None, echo string).  A term exponent
-    or a gold/kasami/bl r above MAX_RING_N is refused before 2^it is built.
+    or a gold/kasami/bl r above MAX_RING_N is refused before 2^it is built,
+    and a term list with t_+ - t_- above MAX_CARRY_RANGE before any form.
     """
     spec = spec.strip().lower()
     for prefix, kind in _SHORTHANDS.items():
@@ -166,6 +170,11 @@ def _parse_l_spec(
             if j in terms:
                 raise ValueError(f"exponent {j} appears twice in {spec!r}")
             terms[j] = t
+        if sum(map(abs, terms.values())) > MAX_CARRY_RANGE:  # t_+ - t_-
+            raise ValueError(
+                "the terms' carry range t+ - t- exceeds the carry-range "
+                f"limit t+ - t- <= {MAX_CARRY_RANGE}"
+            )
         return signed_form(terms), None, spec
     raise ValueError(
         f"cannot parse exponent spec {spec!r}; use e.g. kasami3, raw5 "

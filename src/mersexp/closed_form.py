@@ -86,7 +86,7 @@ def _reduce_r(r: int, n: int, warnings: list[str]) -> int:
 
 def _assemble(rows: list[list[int]], n: int, r: int) -> int:
     """Value of the binary r-matrix: sum of 2^((i - j*r) mod n) over ones."""
-    return fold_mod(_word_value(_regular_word(rows, n, r)), n)
+    return fold_mod(_word_value(_regular_word(rows, n, r, packed=True)), n)
 
 
 def _certified(
@@ -117,7 +117,7 @@ def _certified(
             f"has weight {binary_weight(inv)}, formula says {weight}"
         )
     bits = to_bits(inv)
-    one = BitSequence(n, (1,) + (0,) * (n - 1))
+    one = BitSequence(n, b"\x01" + bytes(n - 1))
     carries = solve_carries(form, bits, one)
     if rows is None:
         r_matrix = to_r_matrix(bits, r)

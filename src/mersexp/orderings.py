@@ -77,10 +77,10 @@ class RMatrix:
 
 def _walk(
     seq: Sequence[int], start: int, stride: int, count: int
-) -> list[int]:
+) -> Sequence[int]:
     """seq[(start + t*stride) % m] for t < count, read as runs of slices."""
     m = len(seq)
-    out: list[int] = []
+    out = bytearray() if isinstance(seq, (bytes, bytearray)) else []
     x = start
     if 2 * stride <= m:
         while len(out) < count:
@@ -96,44 +96,56 @@ def _walk(
     return out
 
 
-def _decimate(seq: Sequence[int], step: int) -> list[int]:
+def _decimate(seq: Sequence[int], step: int) -> Sequence[int]:
     """[seq[(-j*step) % m] for j < m], m = len(seq), step prime to m.
 
-    Built from slices instead of one reduction mod m per entry: for the
+    Keeps its input's kind: bytes (or a bytearray) give a bytearray,
+    any other sequence a list.  Words up to 256 entries are read one
+    index per entry; longer ones are built from slices instead: for the
     k <= sqrt(m) with k*step mod m nearest 0 or m, the entries j = c,
     c + k, c + 2k, ... walk seq with that short stride and wrap around
     only a few times, so about 2*sqrt(m) slices cover the word.
     """
     m = len(seq)
+    packed = isinstance(seq, (bytes, bytearray))
     if m <= 256:  # short words: one index per entry is cheaper
-        return [seq[(-j * step) % m] for j in range(m)]
+        out = [seq[(-j * step) % m] for j in range(m)]
+        return bytearray(out) if packed else out
     g = -step % m
     k = min(
         range(1, isqrt(m) + 1),
         key=lambda k: k + min(k * g % m, -k * g % m),
     )
-    out = [0] * m
+    out = bytearray(m) if packed else [0] * m
     for c in range(k):
         out[c::k] = _walk(seq, c * g % m, k * g % m, len(range(c, m, k)))
     return out
 
 
 # With d = gcd(n, r) and n = d*m, position (i - j*r) mod n is
-# i + d*((-j*r/d) mod m): for d = 1 the single row is the word
-# decimated, and for d > 1 column j is the block of d consecutive
-# entries starting at d*((-j*r/d) mod m), so the columns are the word's
-# blocks decimated.
+# i + d*((-j*r/d) mod m): row i is the strand word[i::d] decimated by
+# r/d, and column j is the block of d consecutive entries starting at
+# d*((-j*r/d) mod m), so the columns are the word's blocks decimated.
+# Bytes with rows longer than _LONG_ROW (near where the two cost the
+# same) go strand by strand, in cheap byte slices; other words move
+# whole columns, one step per entry but about 2*sqrt(m) slices in all.
+_LONG_ROW = 1024
 
 
 def _regular_word(
-    rows: Sequence[Sequence[int]], n: int, r: int
-) -> list[int]:
-    """The length-n word whose r-matrix has the given rows."""
+    rows: Sequence[Sequence[int]], n: int, r: int, packed: bool = False
+) -> Sequence[int]:
+    """The word whose r-matrix has these rows; bytes if packed, else a list."""
     d = gcd(n, r)
-    inverse = pow(r // d, -1, n // d)
-    if d == 1:
-        return _decimate(rows[0], inverse)
-    return list(chain.from_iterable(_decimate(list(zip(*rows)), inverse)))
+    m = n // d
+    inverse = pow(r // d, -1, m)
+    if d == 1 or packed and m > _LONG_ROW:
+        word = bytearray(n) if packed else [0] * n
+        for i, row in enumerate(rows):
+            word[i::d] = _decimate(bytes(row) if packed else row, inverse)
+        return word
+    word = chain.from_iterable(_decimate(list(zip(*rows)), inverse))
+    return bytearray(word) if packed else list(word)
 
 
 def matrix_of_sequence(values: Sequence[int], n: int, r: int) -> RMatrix:
@@ -141,15 +153,17 @@ def matrix_of_sequence(values: Sequence[int], n: int, r: int) -> RMatrix:
     if len(values) != n:
         raise ValueError(f"expected {n} values, got {len(values)}")
     d = gcd(n, r)
-    if d == 1:
-        return RMatrix(n, r, (tuple(_decimate(values, r)),))
+    m, step = n // d, r // d
+    if d == 1 or isinstance(values, (bytes, bytearray)) and m > _LONG_ROW:
+        rows = [_decimate(values[i::d], step) for i in range(d)]
+        return RMatrix(n, r, tuple(map(tuple, rows)))
     blocks = list(zip(*[iter(values)] * d))
-    return RMatrix(n, r, tuple(zip(*_decimate(blocks, r // d))))
+    return RMatrix(n, r, tuple(zip(*_decimate(blocks, step))))
 
 
 def to_r_matrix(a: BitSequence, r: int) -> RMatrix:
     """r-matrix of a bit word."""
-    return matrix_of_sequence(a.bits, a.n, r)
+    return matrix_of_sequence(a.word, a.n, r)
 
 
 def from_r_matrix(m: RMatrix) -> BitSequence:

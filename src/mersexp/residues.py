@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
 
 __all__ = [
     "NotInvertibleError",
@@ -71,33 +70,38 @@ class Residue:
 class BitSequence:
     """Length-n cyclic binary word; index 0 is the least significant bit.
 
-    The all-ones word is rejected: it denotes 2^n - 1, which is the
-    same class as 0, and only the all-zero word represents that class.
+    word holds one byte, 0 or 1, per position (the constructor takes any
+    int sequence), and bits is its tuple view.  The all-ones word is
+    rejected: it denotes 2^n - 1, the class of 0, which only the
+    all-zero word represents.
     """
 
     n: int
-    bits: tuple[int, ...]
+    word: bytes
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"ring parameter must be >= 2, got {self.n}")
-        if len(self.bits) != self.n:
-            raise ValueError(
-                f"expected {self.n} bits, got {len(self.bits)}"
-            )
-        try:  # bytearray takes only ints in [0, 255]; then drop 0s and 1s
-            stray = bytearray(self.bits).translate(None, b"\x00\x01")
+        if len(self.word) != self.n:
+            raise ValueError(f"expected {self.n} bits, got {len(self.word)}")
+        try:  # ints in [0, 255] only, or a buffer's raw bytes (wider items)
+            word = bytes(self.word)
         except (TypeError, ValueError):
-            stray = True
-        if stray:
+            raise ValueError("bits must be 0 or 1") from None
+        if len(word) != self.n or word.translate(None, b"\x00\x01"):
             raise ValueError("bits must be 0 or 1")
-        if 0 not in self.bits:
+        if 0 not in word:
             raise ValueError(
                 "all-ones word rejected: 2^n - 1 is the class of 0"
             )
+        object.__setattr__(self, "word", word)
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(self.word)
 
     def weight(self) -> int:
-        return sum(self.bits)
+        return self.word.count(1)
 
 
 # byte translations between the characters "0"/"1" and the bytes 0/1
@@ -108,17 +112,17 @@ _BITS_TO_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 def to_bits(x: Residue) -> BitSequence:
     """Binary expansion of a residue, least significant bit first."""
     word = format(x.value, f"0{x.n}b")[::-1]
-    return BitSequence(x.n, tuple(word.encode().translate(_CHARS_TO_BITS)))
+    return BitSequence(x.n, word.encode().translate(_CHARS_TO_BITS))
 
 
-def _word_value(bits: Sequence[int]) -> int:
-    """The integer whose binary digits, least significant first, are bits."""
-    return int(bytearray(bits[::-1]).translate(_BITS_TO_CHARS), 2)
+def _word_value(word: bytes) -> int:
+    """The integer whose binary digits, least significant first, are word."""
+    return int(word[::-1].translate(_BITS_TO_CHARS), 2)
 
 
 def from_bits(b: BitSequence) -> Residue:
     """Residue with the given binary expansion."""
-    return Residue(b.n, _word_value(b.bits))
+    return Residue(b.n, _word_value(b.word))
 
 
 def mul_mod(a: Residue, b: Residue) -> Residue:

@@ -10,6 +10,7 @@ from mersexp.cli import (
     EXIT_CONGRUENCE,
     EXIT_NOT_INVERTIBLE,
     MAX_AUDIT_N,
+    MAX_CARRY_RANGE,
     MAX_CATALOG_N,
     MAX_RING_N,
     main,
@@ -217,6 +218,43 @@ def test_carry_exponent_limit(capsys, spec, message):
     assert code == EXIT_BAD_PARAMS and out == ""
     assert f"=99999999999 {message}{MAX_RING_N}" in err
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "0:1,5:" + "7" * 4000,  # a 4,000-digit coefficient
+        "0:0x" + "f" * 8000,  # hex escapes the 4,300-digit int() limit
+        f"0:{MAX_CARRY_RANGE // 2 + 1},3:-{MAX_CARRY_RANGE // 2}",
+    ],
+    ids=["decimal-4000-digits", "hex-8000-digits", "one-past-the-limit"],
+)
+def test_carry_coefficient_limit(capsys, spec):
+    # refused before any form is built: the solver's lanes grow with the
+    # coefficients, and a 4,000-digit one took seconds and 200 MB at n = 20,000
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            capsys, "carry", spec, "--a", "1", "--s", "1", "--n", "20000"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_BAD_PARAMS and out == ""
+    assert f"exceeds the carry-range limit t+ - t- <= {MAX_CARRY_RANGE}" in err
+    assert peak < 1 << 20
+
+
+def test_carry_range_at_the_limit_is_accepted(capsys):
+    assert MAX_CARRY_RANGE == 1 << 16
+    half = MAX_CARRY_RANGE // 2
+    l = half + (half << 1)  # terms 0:half and 1:half span the whole range
+    code, out, _ = run(
+        capsys, "--format", "json", "carry", f"0:{half},1:{half}",
+        "--a", "1", "--s", str(l % 255), "--n", "8",
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["weight"] > 0
 
 
 @pytest.mark.parametrize(

@@ -144,3 +144,24 @@ def test_matrix_matches_definition_on_long_words(n, r):
         for i in range(m.d)
     )
     assert m.flatten() == values
+
+
+@pytest.mark.parametrize(
+    "n, r",
+    [(1031, 400), (1028, 257), (8005, 15)],
+    ids=["d1", "d-ge-m-bracken-leander", "d5-m1601"],
+)
+def test_byte_decimation_long_words(n, r):
+    # words past the 256-entry short path, decimated in byte slices:
+    # d = 1; d > 1 with m <= d (n = 4r); d > 1 with m > d
+    rng = random.Random(n)
+    word = bits_of(rng.randrange(2**n - 1), n)
+    m = to_r_matrix(word, r)
+    d = m.d
+    expected = tuple(
+        tuple(word.bits[(i - j * r) % n] for j in range(n // d))
+        for i in range(d)
+    )
+    assert m.entries == expected
+    assert from_r_matrix(m) == word
+    assert matrix_of_sequence(word.bits, n, r) == m

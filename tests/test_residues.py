@@ -169,3 +169,35 @@ def test_family_validation():
         ExponentFamily("gold", 0)
     with pytest.raises(ValueError):
         ExponentFamily("nonsense", 1)
+
+
+def test_bit_sequence_contract():
+    # every int sequence gives the same word: bytes in .word, tuple in .bits
+    bits = (1, 0, 1, 1, 0)
+    words = [
+        BitSequence(5, kind(bits)) for kind in (tuple, list, bytes, bytearray)
+    ]
+    for word in words:
+        assert word == words[0] and hash(word) == hash(words[0])
+        assert type(word.word) is bytes and word.word == b"\x01\x00\x01\x01\x00"
+        assert type(word.bits) is tuple and word.bits == bits
+        assert word.weight() == 3
+    zero = BitSequence(3, (0, 0, 0))  # the class of 0
+    assert zero.word == bytes(3) and zero.weight() == 0
+    rejected = [
+        (3, (0, 1), "expected 3 bits, got 2"),
+        (2, (2, 0), "bits must be 0 or 1"),
+        (2, (-1, 0), "bits must be 0 or 1"),
+        (2, (256, 0), "bits must be 0 or 1"),
+        (2, (1.0, 0), "bits must be 0 or 1"),
+        (2, ("1", 0), "bits must be 0 or 1"),
+        (2, "01", "bits must be 0 or 1"),
+        (2, bytearray(b"\x00\x02"), "bits must be 0 or 1"),
+        (3, (1, 1, 1), "all-ones word rejected: 2^n - 1 is the class of 0"),
+        (3, b"\x01" * 3, "all-ones word rejected: 2^n - 1 is the class of 0"),
+        (1, (0,), "ring parameter must be >= 2, got 1"),
+    ]
+    for n, value, message in rejected:
+        with pytest.raises(ValueError) as info:
+            BitSequence(n, value)
+        assert str(info.value) == message
