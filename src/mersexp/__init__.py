@@ -47,10 +47,9 @@ from .closed_form import (
     gold_inverse,
     gold_invertible,
     kasami_degree_bounds,
-    kasami_five_d_structure,
     kasami_inverse,
+    kasami_inverse_equivalence,
     kasami_invertible,
-    weight_two_classification,
 )
 from .sbox import (
     CatalogEntry,
@@ -92,8 +91,8 @@ __all__ = [
     "gold_inverse",
     "gold_invertible",
     "kasami_degree_bounds",
-    "kasami_five_d_structure",
     "kasami_inverse",
+    "kasami_inverse_equivalence",
     "kasami_invertible",
     "matrix_of_sequence",
     "mul_mod",
@@ -103,5 +102,4 @@ __all__ = [
     "to_r_matrix",
     "verify_compositional_inverse",
     "verify_congruence",
-    "weight_two_classification",
 ]

@@ -35,6 +35,7 @@ from .residues import (
     Residue,
     _word_value,
     binary_weight,
+    cyclotomic_shift,
     ext_euclid_inverse,
     family_exponent,
     fold_mod,
@@ -50,8 +51,7 @@ __all__ = [
     "kasami_inverse",
     "bl_inverse",
     "kasami_degree_bounds",
-    "kasami_five_d_structure",
-    "weight_two_classification",
+    "kasami_inverse_equivalence",
 ]
 
 
@@ -192,6 +192,22 @@ def kasami_invertible(r: int, n: int) -> bool:
     if (n // d) % 2 == 1:
         return True
     return r % 2 == 0 and d == gcd(3 * r, n)
+
+
+def _kasami_r(r: int, n: int, warnings: list[str]) -> int:
+    """r mod n, once 2^(2r) - 2^r + 1 is checked invertible mod 2^n - 1.
+
+    Raises ValueError for n < 2, r < 1 or r a multiple of n, and
+    NotInvertibleError when the exponent has no inverse.
+    """
+    if n < 2:
+        raise ValueError(f"ring parameter must be >= 2, got {n}")
+    r = _reduce_r(r, n, warnings)
+    if not kasami_invertible(r, n):
+        raise NotInvertibleError(
+            f"2^{2 * r} - 2^{r} + 1 is not invertible mod 2^{n} - 1"
+        )
+    return r
 
 
 def _gcd1_sequence(m: int, e: int) -> tuple[list[int], str, int]:
@@ -415,11 +431,7 @@ def kasami_inverse(r: int, n: int) -> InverseResult:
     warnings: list[str] = []
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
-    r = _reduce_r(r, n, warnings)
-    if not kasami_invertible(r, n):
-        raise NotInvertibleError(
-            f"2^{2 * r} - 2^{r} + 1 is not invertible mod 2^{n} - 1"
-        )
+    r = _kasami_r(r, n, warnings)
     value, rows, tag, weight = _kasami_closed_form(r, n)
     return _certified(
         ExponentFamily("kasami", r),
@@ -458,7 +470,7 @@ def bl_inverse(r: int) -> InverseResult:
 
 
 # ---------------------------------------------------------------------------
-# weight bounds and special structure
+# weight bounds and inverses that are gold or kasami exponents
 # ---------------------------------------------------------------------------
 
 def kasami_degree_bounds(r: int, n: int) -> tuple[int, int, bool]:
@@ -471,13 +483,7 @@ def kasami_degree_bounds(r: int, n: int) -> tuple[int, int, bool]:
     the lower bound is attained exactly when the odd representative of
     e equals 3.
     """
-    if not kasami_invertible(r, n):
-        raise NotInvertibleError(
-            f"2^{2 * r} - 2^{r} + 1 is not invertible mod 2^{n} - 1"
-        )
-    r = r % n
-    if r == 0:
-        raise ValueError("r must not be a multiple of n")
+    r = _kasami_r(r, n, [])
     d = gcd(r, n)
     m = n // d
     if m % 2 == 0:
@@ -493,68 +499,55 @@ def kasami_degree_bounds(r: int, n: int) -> tuple[int, int, bool]:
     return lower, upper, e_odd == 3
 
 
-def kasami_five_d_structure(r: int, b: int) -> tuple[int, int]:
-    """At n = 5 * (r/b) the kasami inverse is a shifted kasami exponent.
+# (n, r) -> (family, shift) for the cases the rules below miss, (4, 2),
+# or give as K_1, which at n = 5 is the gold exponent 3 = 2^1 + 1
+_SPORADIC = {
+    (4, 2): (ExponentFamily("kasami", 2), 2),
+    (5, 2): (ExponentFamily("gold", 1), 2),
+    (5, 3): (ExponentFamily("gold", 1), 1),
+}
 
-    For b dividing r with gcd(b, 5) = 1 and d = r/b, returns (i, m)
-    with inverse(2^(2r) - 2^r + 1) = 2^i * (2^(2m) - 2^m + 1) mod
-    2^(5d) - 1, chosen by b mod 5.  The identity is re-verified
-    numerically before returning.
+# n = 5d, r = b*d: b -> (shift, m) in units of d for the shifted K_m; the
+# shift 2d - 2r of b = 3, 4 is reduced mod n
+_FIVE_D = {1: (2, 2), 2: (2, 1), 3: (1, 1), 4: (4, 2)}
+
+# 3 | n, r = c*n/3: c -> shift + 1 in units of n/3, with gold(n/3)
+_THIRDS = {1: 3, 2: 2}
+
+
+def kasami_inverse_equivalence(
+    r: int, n: int
+) -> tuple[ExponentFamily, int] | None:
+    """The gold or kasami exponent whose cyclotomic class holds K_r^-1.
+
+    Returns (family, shift) with inverse(2^(2r) - 2^r + 1) = 2^shift *
+    exponent(family) mod 2^n - 1, or None when the inverse is in no
+    gold or kasami class.  Besides the three sporadic cases, n = 5d with
+    d | r gives K_m with m = d or 2d, and r = n/3 or 2n/3 gives the
+    weight-2 inverse 2^shift * (2^(n/3) + 1).  The answer is
+    re-verified against the extended-Euclid inverse before returning.
     """
-    if r < 1 or b < 1:
-        raise ValueError("r and b must be positive")
-    if r % b != 0:
-        raise ValueError(f"b={b} must divide r={r}")
-    if gcd(b, 5) != 1:
-        raise ValueError(f"b={b} must be coprime to 5")
-    d = r // b
-    n = 5 * d
-    bucket = b % 5
-    if bucket == 1:
-        shift, m = 2 * d, 2 * d
-    elif bucket == 2:
-        shift, m = 2 * d, d
-    elif bucket == 3:
-        shift, m = (2 * (d - r)) % n, d
+    if n < 4:
+        raise ValueError(f"n must be >= 4, got {n}")
+    r = _kasami_r(r, n, [])
+    if (n, r) in _SPORADIC:
+        family, shift = _SPORADIC[(n, r)]
+    elif n % 5 == 0 and r % (n // 5) == 0:
+        d = n // 5
+        shift, m = _FIVE_D[r // d]
+        family, shift = ExponentFamily("kasami", m * d), shift * d
+    elif n % 3 == 0 and r % (n // 3) == 0:
+        third = n // 3
+        family = ExponentFamily("gold", third)
+        shift = _THIRDS[r // third] * third - 1
     else:
-        shift, m = (2 * (d - r)) % n, 2 * d
-    shift %= n
-    kr = family_exponent(ExponentFamily("kasami", r), n)
-    expected = ext_euclid_inverse(kr.value, n)
-    claimed = fold_mod(
-        family_exponent(ExponentFamily("kasami", m), n).value << shift, n
+        return None
+    expected = ext_euclid_inverse(
+        family_exponent(ExponentFamily("kasami", r), n).value, n
     )
-    if claimed != expected.value:
+    if cyclotomic_shift(family_exponent(family, n), shift) != expected:
         raise RuntimeError(
-            f"internal consistency failure: 2^{shift} * K_{m} != "
-            f"K_{r}^-1 mod 2^{n} - 1"
+            f"internal consistency failure: 2^{shift} * {family.kind}"
+            f"({family.param}) is not the kasami inverse at r={r}, n={n}"
         )
-    return shift, m
-
-
-def weight_two_classification(n: int) -> list[tuple[int, Residue]]:
-    """All r < n whose kasami inverse mod 2^n - 1 has binary weight 2.
-
-    Nonempty exactly when 3 divides n: r = n/3 gives 2^(n-1) +
-    2^(n/3 - 1) and r = 2n/3 gives 2^(n-1) + 2^(2n/3 - 1).  Requires
-    n >= 6; the lone smaller case (n = 5, r = 2) falls outside this
-    classification.
-    """
-    if n < 6:
-        raise ValueError(f"classification needs n >= 6, got {n}")
-    if n % 3 != 0:
-        return []
-    third = n // 3
-    out: list[tuple[int, Residue]] = []
-    for r, value in (
-        (third, (1 << (n - 1)) + (1 << (third - 1))),
-        (2 * third, (1 << (n - 1)) + (1 << (2 * third - 1))),
-    ):
-        inv = Residue(n, value)
-        kasami = family_exponent(ExponentFamily("kasami", r), n)
-        if mul_mod(kasami, inv).value != 1:
-            raise RuntimeError(
-                f"internal consistency failure: weight-2 value at r={r}, n={n}"
-            )
-        out.append((r, inv))
-    return out
+    return family, shift

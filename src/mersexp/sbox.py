@@ -240,10 +240,10 @@ def differential_uniformity(l: int, ctx: FieldContext) -> int:
     Always even and at least 2 (x and x + a produce the same output
     difference).
     """
-    import numpy as np
-
     if not 1 <= l <= ctx.order:
         raise ValueError(f"exponent must be in [1, 2^n - 1], got {l}")
+    import numpy as np
+
     table = power_map(l, ctx)
     xs = np.arange(ctx.size)
     best = 0

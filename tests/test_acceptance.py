@@ -25,13 +25,12 @@ from mersexp import (
     from_r_matrix,
     gold_inverse,
     gold_invertible,
-    kasami_five_d_structure,
     kasami_inverse,
+    kasami_inverse_equivalence,
     kasami_invertible,
     solve_carries,
     to_bits,
     to_r_matrix,
-    weight_two_classification,
 )
 from mersexp.carry import _propagate
 from mersexp.sbox import (
@@ -205,11 +204,11 @@ def test_criterion_7_five_d_structure():
         n = 5 * d
         assert n <= 30
         for b in (1, 2, 3, 4, 6, 7, 8, 9, 11):
-            shift, m = kasami_five_d_structure(b * d, b)
+            family, shift = kasami_inverse_equivalence(b * d, n)
+            # at n = 5 the kasami exponent K_1 = 3 is gold(1)
+            assert family.kind == "kasami" or (n, family.param) == (5, 1)
             kr = family_exponent(ExponentFamily("kasami", b * d), n)
-            claimed = fold_mod(
-                family_exponent(ExponentFamily("kasami", m), n).value << shift, n
-            )
+            claimed = fold_mod(family_exponent(family, n).value << shift, n)
             assert claimed == ext_euclid_inverse(kr.value, n).value
             count += 1
     _report(7, f"n=5d shifted-kasami identity exact on {count} (d, b) pairs", t0)
@@ -223,17 +222,27 @@ def test_criterion_8_weight_two_completeness():
             for r, _ in ((r, n) for r in range(1, n))
             if kasami_invertible(r, n) and kasami_inverse(r, n).weight == 2
         }
-        classified = weight_two_classification(n)
-        assert {r for r, _ in classified} == set(exhaustive)
-        for r, inverse in classified:
+        classified = {}
+        for r in range(1, n):
+            if kasami_invertible(r, n):
+                answer = kasami_inverse_equivalence(r, n)
+                if answer is not None and answer[0].kind == "gold":
+                    family, shift = answer
+                    classified[r] = Residue(
+                        n, fold_mod(family_exponent(family, n).value << shift, n)
+                    )
+        assert set(classified) == set(exhaustive)
+        for r, inverse in classified.items():
             assert inverse == exhaustive[r]
             b = 3 * r // n
             if b % 3 == 1:
                 assert inverse.value == (1 << (n - 1)) + (1 << (n // 3 - 1))
             else:
                 assert inverse.value == (1 << (n - 1)) + (1 << (2 * n // 3 - 1))
-    # sporadic case below the classification's domain
-    assert kasami_inverse(2, 5).weight == 2
+    # the sporadic weight-2 inverses, below the thirds rule's domain
+    for r in (2, 3):
+        assert kasami_inverse(r, 5).weight == 2
+        assert kasami_inverse_equivalence(r, 5)[0] == ExponentFamily("gold", 1)
     _report(8, "weight-2 inverses classified completely for 6 <= n <= 32", t0)
 
 

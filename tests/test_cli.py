@@ -1,7 +1,10 @@
+import io
 import json
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mersexp import Residue
 from mersexp.cli import (
@@ -16,6 +19,7 @@ from mersexp.cli import (
     main,
     run_audit,
 )
+from mersexp.sbox import MAX_FIELD_N
 
 
 def run(capsys, *argv):
@@ -370,3 +374,99 @@ def test_run_audit_counts():
     assert summary["checked"] == summary["passed"]
     # gold r=1 n=3 and kasami r=2 n=5 are certainly inside the range
     assert summary["checked"] >= 20
+
+
+def _number(limit):
+    """Command-line text for a number that is small or refused: tiny,
+    negative, one past the slot's limit or far past it, written in
+    decimal, hex or binary; or text that is no number at all."""
+    value = st.one_of(
+        st.integers(-3, 8), st.sampled_from((limit + 1, 1 << 64, -(1 << 70)))
+    )
+    written = st.tuples(value, st.sampled_from((str, hex, bin))).map(
+        lambda pair: pair[1](pair[0])
+    )
+    junk = st.sampled_from(
+        ("", "x", "1.5", "0x", "0b2", "1e3", "--", " 7", "\u0663")
+    )
+    return st.integers(0, 3).flatmap(lambda i: written if i else junk)
+
+
+def _options(**slots):
+    """'--name value' words for the given slots, each one left out one
+    time in four."""
+
+    def option(name, number):
+        pair = st.tuples(st.just(f"--{name}"), number).map(list)
+        return st.integers(0, 3).flatmap(lambda i: pair if i else st.just([]))
+
+    chosen = st.tuples(*(option(*slot) for slot in slots.items()))
+    return chosen.map(lambda pairs: [word for pair in pairs for word in pair])
+
+
+def _spec():
+    """carry's exponent argument: a family shorthand or a term list."""
+    shorthand = st.tuples(
+        st.sampled_from(("gold", "kasami", "bl", "raw")), _number(MAX_RING_N)
+    ).map("".join)
+    terms = st.lists(
+        st.tuples(_number(MAX_RING_N), _number(MAX_CARRY_RANGE)).map(":".join),
+        min_size=1,
+        max_size=3,
+    ).map(",".join)
+    return st.one_of(shorthand, terms, _number(MAX_RING_N))
+
+
+# the argv grammar of each subcommand; every number slot is drawn against
+# the limit it is checked against (a gold/kasami r is reduced mod n, and
+# bracken-leander has n = 4r)
+_ARGV = st.one_of(
+    st.tuples(
+        st.just(["inverse"]),
+        st.sampled_from((["gold"], ["kasami"], ["raw"])),
+        _options(
+            r=_number(MAX_RING_N), l=_number(MAX_RING_N), n=_number(MAX_RING_N)
+        ),
+    ),
+    st.tuples(
+        st.just(["inverse", "bl"]),
+        _options(r=_number(MAX_RING_N // 4), n=_number(MAX_RING_N)),
+    ),
+    st.tuples(
+        st.just(["carry"]),
+        _spec().map(lambda spec: [spec]),
+        _options(
+            a=_number(MAX_RING_N), s=_number(MAX_RING_N), n=_number(MAX_RING_N)
+        ),
+    ),
+    st.tuples(
+        st.just(["audit"]),
+        _options(
+            **{"n-min": _number(MAX_AUDIT_N), "n-max": _number(MAX_AUDIT_N)}
+        ),
+    ),
+    st.tuples(
+        st.just(["analyze"]),
+        _options(l=_number(MAX_RING_N), n=_number(MAX_FIELD_N)),
+    ),
+    st.tuples(st.just(["catalog"]), _options(n=_number(MAX_CATALOG_N))),
+).map(lambda parts: [word for part in parts for word in part])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ARGV, st.sampled_from(([], ["--format", "json"], ["--quiet"])))
+def test_hostile_argv_fails_cleanly(argv, flags):
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*flags, *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (
+        0, EXIT_NOT_INVERTIBLE, EXIT_BAD_PARAMS, EXIT_CONGRUENCE, EXIT_AUDIT_MISMATCH
+    )
+    assert "Traceback" not in err.getvalue()
+    if code in (EXIT_NOT_INVERTIBLE, EXIT_BAD_PARAMS):
+        assert peak < 1 << 20, argv  # refused before any big allocation

@@ -7,6 +7,7 @@ from mersexp import (
     ExponentFamily,
     NotInvertibleError,
     Residue,
+    binary_weight,
     bl_inverse,
     cyclotomic_shift,
     ext_euclid_inverse,
@@ -15,14 +16,13 @@ from mersexp import (
     gold_inverse,
     gold_invertible,
     kasami_degree_bounds,
-    kasami_five_d_structure,
     kasami_inverse,
+    kasami_inverse_equivalence,
     kasami_invertible,
     solve_carries,
     to_bits,
     to_r_matrix,
     verify_congruence,
-    weight_two_classification,
 )
 from mersexp.carry import canonical_form
 
@@ -275,59 +275,125 @@ def test_degree_bounds_not_invertible():
         kasami_degree_bounds(1, 6)
 
 
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_degree_bounds_refuse_small_rings(n):
+    with pytest.raises(ValueError, match=f"ring parameter must be >= 2, got {n}"):
+        kasami_degree_bounds(1, n)
+
+
 def test_degree_bounds_bracket_actual_weight():
-    for n in range(4, 26):
+    for n in range(4, 129):
         for r in range(1, n):
             if not kasami_invertible(r, n):
                 continue
             lower, upper, attained = kasami_degree_bounds(r, n)
-            w = kasami_inverse(r, n).weight
+            kr = fold_mod((1 << (2 * r)) - (1 << r) + 1, n)
+            w = pow(kr, -1, (1 << n) - 1).bit_count()
             assert lower <= w <= upper
-            if gcd(r, n) == 1 and n % 3 != 0:
+            m = n // gcd(r, n)
+            if m % 2 == 1 and m % 3 != 0:
                 assert (w == lower) == attained
+            else:  # the weight is pinned exactly
+                assert lower == w == upper and not attained
+
+
+def _shifted(family, shift, n):
+    return fold_mod(family_exponent(family, n).value << shift, n)
 
 
 def test_five_d_structure_examples():
-    assert kasami_five_d_structure(2, 1) == (4, 4)
-    assert kasami_five_d_structure(1, 1) == (2, 2)
-    assert kasami_five_d_structure(2, 2) == (2, 1)
+    assert kasami_inverse_equivalence(2, 10) == (ExponentFamily("kasami", 4), 4)
+    assert kasami_inverse_equivalence(1, 5) == (ExponentFamily("kasami", 2), 2)
+    # K_1 = 3 is gold(1) at n = 5
+    assert kasami_inverse_equivalence(2, 5) == (ExponentFamily("gold", 1), 2)
 
 
 def test_five_d_structure_all_classes():
     for d in (1, 2, 3, 4, 6):
         n = 5 * d
         for b in (1, 2, 3, 4, 6, 7, 8, 9):
-            shift, m = kasami_five_d_structure(b * d, b)
-            claimed = fold_mod(
-                family_exponent(ExponentFamily("kasami", m), n).value << shift, n
-            )
+            family, shift = kasami_inverse_equivalence(b * d, n)
+            claimed = _shifted(family, shift, n)
             kr = family_exponent(ExponentFamily("kasami", b * d), n)
             assert fold_mod(kr.value * claimed, n) == 1
 
 
-def test_five_d_structure_validation():
+def test_inverse_equivalence_validation():
+    with pytest.raises(ValueError, match="n must be >= 4, got 3"):
+        kasami_inverse_equivalence(1, 3)
     with pytest.raises(ValueError):
-        kasami_five_d_structure(3, 2)  # b does not divide r
+        kasami_inverse_equivalence(0, 5)
     with pytest.raises(ValueError):
-        kasami_five_d_structure(5, 5)  # gcd(b, 5) != 1
+        kasami_inverse_equivalence(10, 5)  # a multiple of n
+    with pytest.raises(NotInvertibleError):
+        kasami_inverse_equivalence(1, 6)
+
+
+def _weight_two(n):
+    """(r, inverse) for each r < n whose kasami inverse is gold-class."""
+    out = []
+    for r in range(1, n):
+        if kasami_invertible(r, n):
+            answer = kasami_inverse_equivalence(r, n)
+            if answer is not None and answer[0].kind == "gold":
+                out.append((r, _shifted(*answer, n)))
+    return out
 
 
 def test_weight_two_examples():
-    assert [(r, inv.value) for r, inv in weight_two_classification(9)] == [
-        (3, 260),
-        (6, 288),
-    ]
-    assert [(r, inv.value) for r, inv in weight_two_classification(6)] == [
-        (2, 34),
-        (4, 40),
-    ]
-    assert weight_two_classification(7) == []
-    with pytest.raises(ValueError):
-        weight_two_classification(5)
+    assert _weight_two(9) == [(3, 260), (6, 288)]
+    assert _weight_two(6) == [(2, 34), (4, 40)]
+    assert _weight_two(7) == []
 
 
 def test_weight_two_sporadic_n5():
+    # (n, r) = (5, 2) and (5, 3) both have weight-2 inverses, 12 and 6
     assert kasami_inverse(2, 5).weight == 2
+    assert kasami_inverse(3, 5).weight == 2
+    assert _weight_two(5) == [(2, 12), (3, 6)]
+
+
+def _class_kinds(value, n, exponents):
+    """Kinds of the gold or kasami exponents in the cyclotomic class of value."""
+    mask = (1 << n) - 1
+    kinds = set()
+    for _ in range(n):
+        kinds |= exponents.get(value, set())
+        value = ((value << 1) | (value >> (n - 1))) & mask
+    return kinds
+
+
+def test_inverse_equivalence_two_way():
+    # every invertible (r, n) with 4 <= n <= 128 against a search of the
+    # classes of all gold and kasami exponents
+    hits = {"gold": 0, "kasami": 0}
+    for n in range(4, 129):
+        exponents = {}
+        for j in range(1, n):
+            for kind in ("gold", "kasami"):
+                v = family_exponent(ExponentFamily(kind, j), n).value
+                exponents.setdefault(v, set()).add(kind)
+        for r in range(1, n):
+            if not kasami_invertible(r, n):
+                continue
+            kr = family_exponent(ExponentFamily("kasami", r), n).value
+            inverse = ext_euclid_inverse(kr, n)
+            found = _class_kinds(inverse.value, n, exponents)
+            answer = kasami_inverse_equivalence(r, n)
+            assert (answer is not None) == bool(found), (r, n)
+            if answer is None:
+                continue
+            family, shift = answer
+            assert family.kind in found
+            assert (family.kind == "gold") == (binary_weight(inverse) == 2)
+            assert _shifted(family, shift, n) == inverse.value
+            for kind in found:
+                hits[kind] += 1
+    assert hits == {"gold": 84, "kasami": 101}
+    # the sporadic cases, named
+    assert kasami_inverse_equivalence(2, 4) == (ExponentFamily("kasami", 2), 2)
+    assert kasami_inverse_equivalence(2, 5) == (ExponentFamily("gold", 1), 2)
+    assert kasami_inverse_equivalence(3, 5) == (ExponentFamily("gold", 1), 1)
 
 
 def test_carry_certificates_verify():

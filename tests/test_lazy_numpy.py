@@ -60,6 +60,13 @@ def test_certificate_commands_run_without_numpy(argv):
     assert proc.stderr.strip().endswith("numpy loaded: False")
 
 
+def test_refused_analyze_leaves_numpy_unloaded():
+    # an exponent outside [1, 2^n - 1] is refused before numpy is imported
+    proc = python(CLI, "analyze", "--l", "0", "--n", "7")
+    assert proc.returncode == 3
+    assert proc.stderr.strip().endswith("numpy loaded: False")
+
+
 def test_analyze_loads_numpy_and_keeps_its_output():
     proc = python(CLI, "--format", "json", "analyze", "--l", "57", "--n", "7")
     assert proc.returncode == 0, proc.stderr
