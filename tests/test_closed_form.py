@@ -25,6 +25,7 @@ from mersexp import (
     verify_congruence,
 )
 from mersexp.carry import canonical_form
+from mersexp.closed_form import _certified
 
 
 def oracle(l, n):
@@ -51,6 +52,25 @@ def test_gold_inverse_examples():
     assert res.case_label == "GOLD_GCDS"
     assert res.r_matrix.entries == ((0, 0, 1), (1, 1, 0))
     assert res.carry_matrix.entries == ((0, 1, 1), (1, 1, 1))
+
+
+def test_certified_faults_name_the_label():
+    # gold(3) at n = 7: d = 1, one row of 7 bits giving 113, weight 4;
+    # every fault in rows or weight is an internal failure, not bad input
+    gold = ExponentFamily("gold", 3)
+    row = [1, 1, 0, 1, 0, 1, 0]
+    assert _certified(gold, 7, [row], "GOLD_GCD1", 4, []).inverse.value == 113
+    flipped = [1 - row[0]] + row[1:]
+    faults = [
+        ([row[:-1]], 4, "block layout"),
+        ([row, row], 4, "block layout"),
+        ([flipped], 4, "does not invert"),
+        ([[1] * 7], 4, "does not invert"),
+        ([row], 5, "has weight 4"),
+    ]
+    for rows, weight, fault in faults:
+        with pytest.raises(RuntimeError, match=f"GOLD_GCD1 .*{fault}"):
+            _certified(gold, 7, rows, "GOLD_GCD1", weight, [])
 
 
 def test_gold_not_invertible_raises():
@@ -436,6 +456,7 @@ def test_large_n_closed_form_paths():
         ("kasami", 113, 1001),  # GCD1_E6K3_T6U2
         ("kasami", 200, 1001),  # GCD1_E6K5_REFLECTED
         ("kasami", 35, 1001),  # NDODD_CASE_H_REFLECTED, d = 7
+        ("kasami", 9, 3075),  # NDODD_CASE_D_REFLECTED, d = 3, m = 1025
         ("kasami", 250, 1000),  # NDEVEN_6K4, d = 250, m = 4
         ("kasami", 4, 1000),  # NDEVEN_6K4, d = 4, m = 250
         ("kasami", 17, 867),  # ND3_E6K1, d = 17, m = 51
