@@ -109,7 +109,7 @@ def _certified(
             f"internal consistency failure: {label} at r={r}, n={n} "
             f"has a block layout other than {d} rows of {n // d}"
         )
-    word = _regular_word(rows, n, r, packed=True)
+    word = _regular_word(rows, n, r)
     inv = Residue(n, fold_mod(_word_value(word), n))
     form = canonical_form(family)
     if mul_mod(Residue(n, fold_mod(form.value(), n)), inv).value != 1:
@@ -141,6 +141,8 @@ def _certified(
 
 def gold_invertible(r: int, n: int) -> bool:
     """2^r + 1 is invertible mod 2^n - 1 iff n / gcd(n, r) is odd."""
+    if n < 2:
+        raise ValueError(f"ring parameter must be >= 2, got {n}")
     d = gcd(r % n, n)
     return (n // d) % 2 == 1
 
@@ -186,6 +188,8 @@ def kasami_invertible(r: int, n: int) -> bool:
     Holds iff n / gcd(r, n) is odd, or it is even while r is even and
     gcd(r, n) = gcd(3r, n).
     """
+    if n < 2:
+        raise ValueError(f"ring parameter must be >= 2, got {n}")
     r = r % n
     if r == 0:
         return True

@@ -70,10 +70,6 @@ class RMatrix:
     def cols(self) -> int:
         return self.n // self.d
 
-    def flatten(self) -> tuple[int, ...]:
-        """Back to the regular word: position (i - j*r) mod n per entry."""
-        return tuple(_regular_word(self.entries, self.n, self.r))
-
 
 def _walk(
     seq: Sequence[int], start: int, stride: int, count: int
@@ -132,20 +128,17 @@ def _decimate(seq: Sequence[int], step: int) -> Sequence[int]:
 _LONG_ROW = 1024
 
 
-def _regular_word(
-    rows: Sequence[Sequence[int]], n: int, r: int, packed: bool = False
-) -> Sequence[int]:
-    """The word whose r-matrix has these rows; bytes if packed, else a list."""
+def _regular_word(rows: Sequence[Sequence[int]], n: int, r: int) -> bytearray:
+    """The bytes of the word whose r-matrix has these rows."""
     d = gcd(n, r)
     m = n // d
     inverse = pow(r // d, -1, m)
-    if d == 1 or packed and m > _LONG_ROW:
-        word = bytearray(n) if packed else [0] * n
+    if d == 1 or m > _LONG_ROW:
+        word = bytearray(n)
         for i, row in enumerate(rows):
-            word[i::d] = _decimate(bytes(row) if packed else row, inverse)
+            word[i::d] = _decimate(bytes(row), inverse)
         return word
-    word = chain.from_iterable(_decimate(list(zip(*rows)), inverse))
-    return bytearray(word) if packed else list(word)
+    return bytearray(chain.from_iterable(_decimate(list(zip(*rows)), inverse)))
 
 
 def matrix_of_sequence(values: Sequence[int], n: int, r: int) -> RMatrix:
@@ -172,6 +165,8 @@ def from_r_matrix(m: RMatrix) -> BitSequence:
     Left inverse of to_r_matrix.  Rejects non-binary entries, and the
     all-ones reassembly is rejected by BitSequence for canonicality.
     """
-    if any(v not in (0, 1) for row in m.entries for v in row):
-        raise ValueError("matrix entries must be bits")
-    return BitSequence(m.n, m.flatten())
+    try:
+        word = _regular_word(m.entries, m.n, m.r)
+    except (TypeError, ValueError):  # an entry that is no byte at all
+        raise ValueError("matrix entries must be bits") from None
+    return BitSequence(m.n, word)

@@ -3,7 +3,8 @@
 GF(2^n) elements are n-bit integers in a polynomial basis.  Evaluation
 of x -> x^l over the whole field goes through discrete-log tables built
 once per field context, so the differential-uniformity scan is a flat
-pass of xor/bincount work per input difference.
+pass of xor/bincount work per input difference.  The exp table is built
+by doubling: each step is one product by a field constant, a linear map.
 
 Field analysis is capped at n <= MAX_FIELD_N = 24: memory and time are
 O(2^n) per table and O(4^n) for a full uniformity scan.  The default
@@ -174,46 +175,45 @@ def _gf2_powmod(a: int, k: int, poly: int, n: int) -> int:
     return res
 
 
-def _vec_mul_const(a: np.ndarray, c: int, poly: int, n: int) -> np.ndarray:
-    """Elementwise GF(2^n) multiplication of an int64 array by a constant."""
+def _mul_const(v: np.ndarray, c: int, poly: int, n: int) -> np.ndarray:
+    """Elementwise GF(2^n) product c*v of an int64 array of field elements.
+
+    v -> c*v is GF(2)-linear: c*v = lo[v & mask] ^ hi[v >> n//2], where lo
+    and hi (at most 4,096 entries) xor the images c*2^b of each bit subset.
+    """
     import numpy as np
 
-    res = np.zeros_like(a)
-    work = a.copy()
-    top = 1 << n
-    while c:
-        if c & 1:
-            res ^= work
-        c >>= 1
-        if c:
-            work <<= 1
-            np.bitwise_xor(
-                work, poly, out=work, where=(work & top).astype(bool)
-            )
-    return res
+    h = n // 2
+    lo, hi = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for b in range(n):
+        image = _gf2_mulmod(c, 1 << b, poly, n)
+        if b < h:
+            lo = np.concatenate([lo, lo ^ image])
+        else:
+            hi = np.concatenate([hi, hi ^ image])
+    out = lo[v & ((1 << h) - 1)]
+    out ^= hi[v >> h]  # in place: the log scatter stays the build's peak
+    return out
 
 
 @cache
 def _tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
-    """exp/log tables of the field; shared by every caller, never written."""
+    """exp/log tables of the field; shared by every caller, never written.
+
+    exp[i] = g^i for a generator g, by doubling from exp[0] = 1:
+    exp[k : 2k] = g^k * exp[:k], then g^k is squared; log inverts exp.
+    """
     import numpy as np
 
     poly, n, order = ctx.reduction_polynomial, ctx.n, ctx.order
-    g = _find_generator(ctx)
     exp = np.empty(order, dtype=np.int64)
-    block = min(order, 1 << 12)
-    val = 1
-    for i in range(block):
-        exp[i] = val
-        val = _gf2_mulmod(val, g, poly, n)
-    step = val  # g^block
-    pos = block
-    while pos < order:
-        cnt = min(block, order - pos)
-        exp[pos : pos + cnt] = _vec_mul_const(
-            exp[pos - block : pos - block + cnt], step, poly, n
-        )
-        pos += cnt
+    exp[0] = 1
+    size, step = 1, _find_generator(ctx)  # step = g^size
+    while size < order:
+        cnt = min(size, order - size)
+        exp[size : size + cnt] = _mul_const(exp[:cnt], step, poly, n)
+        size += cnt
+        step = _gf2_mulmod(step, step, poly, n)
     log = np.empty(ctx.size, dtype=np.int64)
     log[0] = -1  # never consulted; x = 0 is special-cased
     log[exp] = np.arange(order, dtype=np.int64)

@@ -13,12 +13,14 @@ from mersexp import (
     ext_euclid_inverse,
     family_exponent,
     fold_mod,
+    from_r_matrix,
     gold_inverse,
     gold_invertible,
     kasami_degree_bounds,
     kasami_inverse,
     kasami_inverse_equivalence,
     kasami_invertible,
+    matrix_of_sequence,
     solve_carries,
     to_bits,
     to_r_matrix,
@@ -225,7 +227,7 @@ def test_every_closed_form_case_to_n128():
         assert res.r_matrix == to_r_matrix(bits, family.param)
         one = BitSequence(n, (1,) + (0,) * (n - 1))
         carries = solve_carries(canonical_form(family), bits, one).carries
-        assert res.carry_matrix.flatten() == carries
+        assert res.carry_matrix == matrix_of_sequence(carries, n, family.param)
 
     for n in range(2, 129):
         m = (1 << n) - 1
@@ -297,8 +299,11 @@ def test_degree_bounds_not_invertible():
 
 @pytest.mark.parametrize("n", [1, 0, -3])
 def test_degree_bounds_refuse_small_rings(n):
-    with pytest.raises(ValueError, match=f"ring parameter must be >= 2, got {n}"):
-        kasami_degree_bounds(1, n)
+    for check in (kasami_degree_bounds, gold_invertible, kasami_invertible):
+        with pytest.raises(
+            ValueError, match=f"ring parameter must be >= 2, got {n}"
+        ):
+            check(1, n)
 
 
 def test_degree_bounds_bracket_actual_weight():
@@ -417,7 +422,7 @@ def test_inverse_equivalence_two_way():
 
 
 def test_carry_certificates_verify():
-    # the attached carry matrix flattens back to the word that solves
+    # the attached carry matrix is the r-matrix of the word that solves
     # the recurrence with s = 1
     results = [bl_inverse(r) for r in (1, 3, 5)]
     for n in range(2, 21):
@@ -435,7 +440,9 @@ def test_carry_certificates_verify():
         solved = verify_congruence(
             form, to_bits(res.inverse), to_bits(Residue(n, 1))
         )
-        assert res.carry_matrix.flatten() == solved.carries
+        assert res.carry_matrix == matrix_of_sequence(
+            solved.carries, n, res.r_matrix.r
+        )
 
 
 def test_large_n_closed_form_paths():
@@ -475,5 +482,5 @@ def test_large_certificates_match_oracle_and_recurrence(kind, r, n):
     solved = verify_congruence(
         canonical_form(fam), to_bits(res.inverse), to_bits(Residue(n, 1))
     )
-    assert res.carry_matrix.flatten() == solved.carries
-    assert res.r_matrix.flatten() == to_bits(res.inverse).bits
+    assert res.carry_matrix == matrix_of_sequence(solved.carries, n, r)
+    assert from_r_matrix(res.r_matrix) == to_bits(res.inverse)

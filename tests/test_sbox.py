@@ -97,8 +97,9 @@ def test_power_map_against_sympy():
     from sympy.polys.domains import ZZ
     from sympy.polys.galoistools import gf_pow_mod
 
+    # n <= 20 keeps this near 2 s; CI checks a kasami inverse at n = 24
     rng = random.Random(12)
-    for n in range(2, 13):
+    for n in range(2, 21):
         ctx = FieldContext(n)
         modulus = _sympy_poly(ctx.reduction_polynomial)
         exponents = {1, 2, 3, ctx.order, ctx.order + 2}
@@ -168,7 +169,7 @@ def test_catalog_n2_trivial():
 
 
 def test_catalog_claims_hold_empirically_small_n():
-    for n in (4, 5, 6):
+    for n in range(2, 13):
         ctx = FieldContext(n)
         for e in catalog_lookup(n):
             assert (
