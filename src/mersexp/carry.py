@@ -23,16 +23,18 @@ The solver and verify_congruence's cross-check pack a word into one
 integer, a lane of w bytes (base B = 256^w) per position.  The check
 recomputes every s[i] = T[i] - 2*c[i] + c[i-1] at once, on lanes that
 keep each per-lane difference, at most 2*(t_+ - t_-) - 1, below B/2:
-then the integers are equal only if every lane is.
+then the integers are equal only if every lane is.  The solved word
+is kept as one signed byte (c mod 256) per carry whenever every carry
+fits one, and as a tuple otherwise; the check packs its lanes from
+those bytes by flipping their sign bits.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .residues import _FAMILIES, BitSequence, ExponentFamily, _word_value
+from .residues import _FAMILIES, BitSequence, ExponentFamily
 
 __all__ = [
     "CongruenceError",
@@ -109,49 +111,43 @@ def canonical_form(f: ExponentFamily) -> SignedPowerForm:
     return signed_form(terms(f.param))
 
 
+# flips a byte's sign bit: c + 128 <-> c mod 256 for a signed byte c
+_FLIP_SIGN = bytes(v ^ 0x80 for v in range(256))
+
+
 @dataclass(frozen=True)
 class CarrySequence:
-    """Length-n word of carries; weight is the plain sum of entries."""
+    """Length-n word of carries; weight is the plain sum of entries.
+
+    word holds one signed byte (c mod 256) per carry when every carry
+    lies in [-128, 127], and the tuple of carries otherwise; carries is
+    its tuple view.  The constructor takes any int sequence, reading
+    bytes as signed bytes, and stores it in that one form, so equal
+    words compare and hash equal however they were given.
+    """
 
     n: int
-    carries: tuple[int, ...]
+    word: bytes | tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.carries) != self.n:
-            raise ValueError(
-                f"expected {self.n} carries, got {len(self.carries)}"
-            )
+        word = self.word
+        if not isinstance(word, bytes):
+            try:  # flipping the sign bit of c + 128 gives c mod 256
+                word = bytes(c + 128 for c in word).translate(_FLIP_SIGN)
+            except (TypeError, ValueError):  # a carry beyond a signed byte
+                word = tuple(word)
+            object.__setattr__(self, "word", word)
+        if len(word) != self.n:
+            raise ValueError(f"expected {self.n} carries, got {len(word)}")
+
+    @property
+    def carries(self) -> tuple[int, ...]:
+        if isinstance(self.word, bytes):
+            return tuple(memoryview(self.word).cast("b"))
+        return self.word
 
     def weight(self) -> int:
         return sum(self.carries)
-
-
-def _propagate(
-    form: SignedPowerForm, a: BitSequence, s: BitSequence, seed: int
-) -> tuple[int, ...] | None:
-    """Run c[i] = (c[i-1] - s[i] + sum_j t_j a[i-j]) / 2 around the cycle.
-
-    Returns the carry word when every division is exact, every value
-    stays in [t_-, t_+ - 1] and the cycle closes on the seed; None
-    otherwise.
-    """
-    lo, hi = form.t_minus, form.t_plus - 1
-    n = a.n
-    c_prev = seed
-    out = []
-    for i in range(n):
-        terms = sum(t * a.word[(i - j) % n] for j, t in form.terms)
-        num = c_prev - s.word[i] + terms
-        if num % 2 != 0:
-            return None
-        c = num // 2
-        if not lo <= c <= hi:
-            return None
-        out.append(c)
-        c_prev = c
-    if out[-1] != seed:
-        return None
-    return tuple(out)
 
 
 def _rotations(terms: Iterable, x: int, n: int, lane: int) -> int:
@@ -174,10 +170,6 @@ def _lanes(bits: bytes, width: int) -> int:
     lanes = bytearray(len(bits) * width)
     lanes[::width] = bits
     return int.from_bytes(lanes, "little")
-
-
-# flips a byte's sign bit: c + 128 <-> c mod 256 for a signed byte c
-_FLIP_SIGN = bytes(v ^ 0x80 for v in range(256))
 
 
 def solve_carries(
@@ -206,8 +198,8 @@ def solve_carries(
         raise ValueError(f"length mismatch: a has {a.n} bits, s has {s.n}")
     lo, hi = form.t_minus, form.t_plus - 1
     n = a.n
-    total = _rotations(form.terms, _word_value(a.word), n, 1)
-    seed, rem = divmod(total - _word_value(s.word), (1 << n) - 1)
+    total = _rotations(form.terms, a.value, n, 1)
+    seed, rem = divmod(total - s.value, (1 << n) - 1)
     if rem or not lo <= seed <= hi:
         raise CongruenceError(
             "no carry word closes the cycle: the congruence does not hold"
@@ -227,16 +219,17 @@ def solve_carries(
             "the congruence does not hold"
         )
     raw = word.to_bytes(n * width, "little")
+    last = int.from_bytes(raw[-width:], "little") - bias
     if small:
         stray = raw.translate(None, bytes(range(lo + bias, hi + bias + 1)))
-        carries = struct.unpack(f"{n}b", raw.translate(_FLIP_SIGN))
+        carries = raw.translate(_FLIP_SIGN)  # c[i] mod 256 in byte i
     else:
         carries = tuple(
             int.from_bytes(raw[i : i + width], "little") - bias
             for i in range(0, n * width, width)
         )
         stray = not lo <= min(carries) <= max(carries) <= hi
-    if stray or carries[-1] != seed:
+    if stray or last != seed:
         raise CongruenceError(
             "the carry word leaves its range or does not close the cycle: "
             "the congruence does not hold"
@@ -262,7 +255,7 @@ def verify_congruence(
     result = solve_carries(form, a, s)
     lo, hi = form.t_minus, form.t_plus - 1
     width = (2 * (hi - lo) + 1).bit_length() // 8 + 1  # B > 2 * max |d[i]|
-    carries, bias = _carry_lanes(result.carries, lo, hi, width)
+    carries, bias = _carry_lanes(result, lo, hi, width)
     n, lane = a.n, 8 * width
     recomputed = (
         _rotations(form.terms, _lanes(a.word, width), n, lane)
@@ -274,20 +267,20 @@ def verify_congruence(
     return result
 
 
-def _carry_lanes(c: tuple, lo: int, hi: int, width: int) -> tuple[int, int]:
+def _carry_lanes(c, lo: int, hi: int, width: int) -> tuple[int, int]:
     """(C, bias) with c[i] + bias in lane i of C; c must lie in [lo, hi]."""
     stray = RuntimeError("carry word leaves its range; this is a bug")
-    if width == 1:  # a signed byte per carry; flipping its sign bit adds 128
-        try:
-            raw = struct.pack(f"{len(c)}b", *c).translate(_FLIP_SIGN)
-        except struct.error:  # a carry beyond a signed byte
-            raise stray from None
+    if width == 1:  # [lo, hi] fits a signed byte: a word in range is bytes
+        if not isinstance(c.word, bytes):
+            raise stray
+        raw = c.word.translate(_FLIP_SIGN)  # c[i] + 128 in byte i
         if raw.translate(None, bytes(range(lo + 128, hi + 129))):
             raise stray
         return int.from_bytes(raw, "little"), 128
-    if not lo <= min(c) <= max(c) <= hi:
+    carries = c.carries
+    if not lo <= min(carries) <= max(carries) <= hi:
         raise stray
-    raw = b"".join((ci - lo).to_bytes(width, "little") for ci in c)
+    raw = b"".join((ci - lo).to_bytes(width, "little") for ci in carries)
     return int.from_bytes(raw, "little"), -lo
 
 
@@ -320,12 +313,12 @@ def carry_constraints_check(
     """
     if form != canonical_form(ExponentFamily("kasami", r)):
         raise ValueError(f"not a kasami form with parameter {r}")
-    if solve_carries(form, a, s).carries != c.carries:
+    if solve_carries(form, a, s) != c:
         raise ValueError("carry word does not solve the recurrence for (a, s)")
-    n = c.n
-    w = c.weight()
+    n, carries = c.n, c.carries
+    w = sum(carries)
     pair_ok = all(
-        c.carries[i] + c.carries[(i - r) % n] in (-1, 0, 1) for i in range(n)
+        carries[i] + carries[(i - r) % n] in (-1, 0, 1) for i in range(n)
     )
     return CarryReport(
         carry_weight=w,

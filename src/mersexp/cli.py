@@ -281,7 +281,7 @@ def _cmd_carry(args: argparse.Namespace) -> dict[str, Any]:
     if fam is not None and fam.kind != "raw":
         r = fam.param
         result["carry_matrix"] = _matrix_doc(
-            matrix_of_sequence(carries.carries, n, r)
+            matrix_of_sequence(carries.word, n, r)
         )
         if fam.kind == "kasami":
             report = carry_constraints_check(carries, form, r, a, s)

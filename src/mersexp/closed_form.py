@@ -31,10 +31,10 @@ from .orderings import (
     to_r_matrix,  # unused here; the traced benchmark wraps it by this name
 )
 from .residues import (
-    BitSequence,
     ExponentFamily,
     NotInvertibleError,
     Residue,
+    _known_bits,
     _word_value,
     binary_weight,
     cyclotomic_shift,
@@ -42,7 +42,7 @@ from .residues import (
     family_exponent,
     fold_mod,
     mul_mod,
-    to_bits,
+    to_bits,  # unused here; the traced benchmark wraps it by this name
 )
 
 __all__ = [
@@ -89,7 +89,7 @@ def _reduce_r(r: int, n: int, warnings: list[str]) -> int:
 def _certified(
     family: ExponentFamily,
     n: int,
-    rows: list[list[int]],
+    rows: list[bytes],
     label: str,
     weight: int,
     warnings: list[str],
@@ -103,12 +103,14 @@ def _certified(
     layout, value or weight raises RuntimeError naming the label.
     """
     r = family.param
-    d = gcd(r, n)
-    if len(rows) != d or any(len(row) != n // d for row in rows):
+    try:
+        r_matrix = RMatrix(n, r, tuple(map(tuple, rows)))
+    except ValueError:
+        d = gcd(r, n)
         raise RuntimeError(
             f"internal consistency failure: {label} at r={r}, n={n} "
             f"has a block layout other than {d} rows of {n // d}"
-        )
+        ) from None
     word = _regular_word(rows, n, r)
     inv = Residue(n, fold_mod(_word_value(word), n))
     form = canonical_form(family)
@@ -122,15 +124,15 @@ def _certified(
             f"internal consistency failure: {label} at r={r}, n={n} "
             f"has weight {binary_weight(inv)}, formula says {weight}"
         )
-    bits = to_bits(inv)
-    one = BitSequence(n, b"\x01" + bytes(n - 1))
+    bits = _known_bits(n, word, inv.value)
+    one = _known_bits(n, b"\x01" + bytes(n - 1), 1)
     carries = solve_carries(form, bits, one)
     return InverseResult(
         inverse=inv,
         weight=weight,
         case_label=label,
-        r_matrix=RMatrix(n, r, tuple(map(tuple, rows))),
-        carry_matrix=matrix_of_sequence(carries.carries, n, r),
+        r_matrix=r_matrix,
+        carry_matrix=matrix_of_sequence(carries.word, n, r),
         warnings=tuple(warnings),
     )
 
@@ -164,8 +166,8 @@ def gold_inverse(r: int, n: int) -> InverseResult:
         )
     d = gcd(r, n)
     m = n // d
-    top = [0] + [0, 1] * (m // 2)  # m is odd
-    bottom = [1] + [1, 0] * (m // 2)
+    top = b"\0" + b"\0\1" * (m // 2)  # m is odd
+    bottom = b"\1" + b"\1\0" * (m // 2)
     rows = [top] * (d - 1) + [bottom]
     label = "GOLD_GCD1" if d == 1 else "GOLD_GCDS"
     return _certified(
@@ -215,7 +217,12 @@ def _kasami_r(r: int, n: int, warnings: list[str]) -> int:
     return r
 
 
-def _gcd1_sequence(m: int, e: int) -> tuple[list[int], str, int]:
+# the six-periodic blocks of the kasami rows, one byte per bit
+_X1 = b"\0\0\0\1\1\1"
+_X2 = b"\0\1\1\1\0\0"
+
+
+def _gcd1_sequence(m: int, e: int) -> tuple[bytes, str, int]:
     """Decimated inverse word for gcd(r, m) = 1, m odd, e odd.
 
     Returns (sequence of length m, case tag, binary weight).  The
@@ -223,73 +230,67 @@ def _gcd1_sequence(m: int, e: int) -> tuple[list[int], str, int]:
     """
     k, rem = divmod(e, 6)
     if rem == 1:
-        seq = [1] + [1, 0] * ((m - e) // 2) + [1, 1, 1, 0, 0, 0] * k
+        seq = b"\1" + b"\1\0" * ((m - e) // 2) + b"\1\1\1\0\0\0" * k
         tag, weight = "E6K1", (m + 1) // 2
     elif rem == 5:
-        seq = (
-            [0]
-            + [0, 1] * ((m - e + 2) // 2)
-            + [1, 1]
-            + [0, 0, 0, 1, 1, 1] * k
-        )
+        seq = b"\0" + b"\0\1" * ((m - e + 2) // 2) + b"\1\1" + _X1 * k
         tag, weight = "E6K5", (m + 1) // 2
     else:  # rem == 3
         s, t = divmod(m, e)
         u = t // 6
-        x1 = [0, 0, 0, 1, 1, 1]
-        x2 = [0, 1, 1, 1, 0, 0]
-        x = [0, 1, 1] + x1 * k + [0, 0, 0] + x2 * k
-        y = [0, 0, 0] + x2 * k + [0, 1, 1] + x1 * k
+        x1, x2 = _X1, _X2
+        x = b"\0\1\1" + x1 * k + b"\0\0\0" + x2 * k
+        y = b"\0\0\0" + x2 * k + b"\0\1\1" + x1 * k
         if t % 6 == 1:
-            z = [0, 1] * ((e - 3 - 6 * u) // 2)
-            seq = (
+            z = b"\0\1" * ((e - 3 - 6 * u) // 2)
+            seq = bytearray(
                 x1 * u
                 + y * ((s - 2) // 2)
-                + [0, 0, 0]
+                + b"\0\0\0"
                 + x2 * k
-                + [0, 1, 1]
+                + b"\0\1\1"
                 + x1 * u
                 + z
-                + [0]
+                + b"\0"
             )
             if seq[0] != 0:
                 raise RuntimeError("block layout clash at position 0")
             seq[0] = 1
             tag, weight = "E6K3_T6U1", (m - s + 1) // 2
         elif t % 6 == 2:
-            z = [1, 0] * (3 * u)
+            z = b"\1\0" * (3 * u)
             seq = (
-                [0, 1]
+                b"\0\1"
                 + x1 * u
                 + y * ((s - 1) // 2)
-                + [0, 0]
+                + b"\0\0"
                 + z
-                + [1]
+                + b"\1"
                 + x2 * (k - u)
             )
             tag, weight = "E6K3_T6U2", (m - s) // 2
         elif t % 6 == 4:
-            z = [1, 0] * (3 * u)
+            z = b"\1\0" * (3 * u)
             seq = (
-                [0, 0, 0]
+                b"\0\0\0"
                 + x2 * u
                 + x * ((s - 1) // 2)
-                + [0, 1, 1, 0]
+                + b"\0\1\1\0"
                 + z
-                + [1, 0, 1, 1, 1]
+                + b"\1\0\1\1\1"
                 + x1 * ((e - 6 * u - 9) // 6)
-                + [0]
+                + b"\0"
             )
             tag, weight = "E6K3_T6U4", (m - s) // 2
         else:  # t % 6 == 5
-            z = x1 + [0, 1] * ((e - 7 - 6 * u) // 2)
+            z = x1 + b"\0\1" * ((e - 7 - 6 * u) // 2)
             seq = (
-                [0, 1, 1, 0, 0]
+                b"\0\1\1\0\0"
                 + x2 * u
                 + x * ((s - 2) // 2)
-                + [0, 1, 1]
+                + b"\0\1\1"
                 + x1 * k
-                + [0]
+                + b"\0"
                 + x1 * u
                 + z
             )
@@ -297,7 +298,7 @@ def _gcd1_sequence(m: int, e: int) -> tuple[list[int], str, int]:
     return seq, tag, weight
 
 
-def _nd3_rows(m: int, e: int, d: int) -> tuple[list[list[int]], str]:
+def _nd3_rows(m: int, e: int, d: int) -> tuple[list[bytes], str]:
     """Rows for m = n/d divisible by 3 (m = 3 mod 6, e = 1 or 5 mod 6).
 
     The last row is the gcd = 1 word at modulus m; the other d - 1 rows
@@ -307,24 +308,24 @@ def _nd3_rows(m: int, e: int, d: int) -> tuple[list[list[int]], str]:
     k = e // 6
     if e % 6 == 1:
         a1 = (
-            [0, 0]
-            + [0, 0, 1, 1, 1, 0] * ((m - e - 2) // 6)
-            + [0, 0, 0, 1, 1, 1] * k
-            + [0]
+            b"\0\0"
+            + b"\0\0\1\1\1\0" * ((m - e - 2) // 6)
+            + _X1 * k
+            + b"\0"
         )
     else:  # e % 6 == 5
         a1 = (
-            [0, 1, 0, 0, 0]
-            + [1, 1, 1, 0, 0, 0] * ((m - e - 4) // 6)
-            + [1, 1, 0, 0]
-            + [0, 1, 1, 1, 0, 0] * k
+            b"\0\1\0\0\0"
+            + b"\1\1\1\0\0\0" * ((m - e - 4) // 6)
+            + b"\1\1\0\0"
+            + _X2 * k
         )
     return [a1] * (d - 1) + [a2], f"ND3_{tag}"
 
 
 def _ndodd_rows(
     m: int, e: int, d: int, n: int
-) -> tuple[list[list[int]], str, int]:
+) -> tuple[list[bytes], str, int]:
     """Rows for m = n/d odd, not divisible by 3, d > 1.
 
     The first row is the gcd = 1 word at modulus m; the other d - 1
@@ -336,61 +337,59 @@ def _ndodd_rows(
     s, t = divmod(m, e)
     u = t // 6
     v = m // 6
-    x1 = [0, 0, 0, 1, 1, 1]
-    x3 = [0, 1, 1, 1, 0, 0]
-    y = [0, 0, 0] + x3 * k + [0, 1, 1] + x1 * k
-    z = [0, 1, 1] + x1 * k + [0, 0, 0] + x3 * k
+    x1, x3 = _X1, _X2
+    y = b"\0\0\0" + x3 * k + b"\0\1\1" + x1 * k
+    z = b"\0\1\1" + x1 * k + b"\0\0\0" + x3 * k
     if e % 6 == 1 and m % 6 == 1:
-        a2, case = x1 * v + [0], "A"
+        a2, case = x1 * v + b"\0", "A"
         weight = (n - d + 2) // 2
     elif e % 6 == 1 and m % 6 == 5:
-        a2, case = [1, 1, 0, 0, 0, 1] * v + [1, 1, 0, 0, 0], "B"
+        a2, case = b"\1\1\0\0\0\1" * v + b"\1\1\0\0\0", "B"
         weight = (n - d + 2) // 2
     elif e % 6 == 5 and m % 6 == 1:
-        a2, case = [0] + x1 * v, "C"
+        a2, case = b"\0" + x1 * v, "C"
         weight = (n - d + 2) // 2
     elif e % 6 == 5 and m % 6 == 5:
-        a2, case = [0, 1, 1] + x1 * v + [0, 0], "D"
+        a2, case = b"\0\1\1" + x1 * v + b"\0\0", "D"
         weight = (n - d + 2) // 2
     elif t % 6 == 1:
-        a2, case = x1 * u + y * (s // 2) + [0], "E"
+        a2, case = x1 * u + y * (s // 2) + b"\0", "E"
         weight = (n - d * (s + 1) + 2) // 2
     elif t % 6 == 2:
-        a2, case = [0, 1] + x1 * u + y * ((s - 1) // 2) + [0, 0, 0] + x3 * k, "F"
+        a2 = b"\0\1" + x1 * u + y * ((s - 1) // 2) + b"\0\0\0" + x3 * k
+        case = "F"
         weight = (n - d * (s + 2) + 2) // 2
     elif t % 6 == 4:
-        a2, case = (
-            [0, 0, 0] + x3 * u + z * ((s - 1) // 2) + [0, 1, 1] + x1 * k + [0],
-            "G",
-        )
+        head = b"\0\0\0" + x3 * u + z * ((s - 1) // 2)
+        a2, case = head + b"\0\1\1" + x1 * k + b"\0", "G"
         weight = (n - d * (s + 2) + 2) // 2
     else:  # t % 6 == 5
-        a2, case = [0, 1, 1, 0, 0] + x3 * u + z * (s // 2), "H"
+        a2, case = b"\0\1\1\0\0" + x3 * u + z * (s // 2), "H"
         weight = (n - d * (s + 1) + 2) // 2
     return [a1] + [a2] * (d - 1), f"NDODD_CASE_{case}", weight
 
 
-def _ndeven_rows(m: int, d: int) -> tuple[list[list[int]], str]:
+def _ndeven_rows(m: int, d: int) -> tuple[list[bytes], str]:
     """Rows for m = n/d even (then 3 does not divide m and e is odd).
 
     After the head row, rows alternate between the two phases of the
     period-2 word, ending on the head row's complement phase.
     """
     if m % 6 == 2:
-        a1 = [1, 1] + [1, 1, 0, 0, 0, 1] * ((m - 2) // 6)
-        odd_row = [1, 0] * (m // 2)
-        even_row = [0, 1] * (m // 2)
+        a1 = b"\1\1" + b"\1\1\0\0\0\1" * ((m - 2) // 6)
+        odd_row = b"\1\0" * (m // 2)
+        even_row = b"\0\1" * (m // 2)
         tag = "NDEVEN_6K2"
     else:  # m % 6 == 4
-        a1 = [1, 0, 1, 1] + [1, 0, 0, 0, 1, 1] * ((m - 4) // 6)
-        odd_row = [0, 1] * (m // 2)
-        even_row = [1, 0] * (m // 2)
+        a1 = b"\1\0\1\1" + b"\1\0\0\0\1\1" * ((m - 4) // 6)
+        odd_row = b"\0\1" * (m // 2)
+        even_row = b"\1\0" * (m // 2)
         tag = "NDEVEN_6K4"
     rows = [a1] + [odd_row if i % 2 else even_row for i in range(1, d)]
     return rows, tag
 
 
-def _kasami_closed_form(r: int, n: int) -> tuple[list[list[int]], str, int]:
+def _kasami_closed_form(r: int, n: int) -> tuple[list[bytes], str, int]:
     """Dispatch: (r-matrix rows, case tag, weight)."""
     d = gcd(r, n)
     m = n // d
@@ -446,7 +445,7 @@ def bl_inverse(r: int) -> InverseResult:
     if r < 1 or r % 2 == 0:
         raise ValueError(f"parameter must be odd and positive, got {r}")
     n = 4 * r
-    rows = [[1, 1, 1, 0]] + [[0, 0, 0, 0], [1, 1, 1, 1]] * (r // 2)
+    rows = [b"\1\1\1\0"] + [b"\0\0\0\0", b"\1\1\1\1"] * (r // 2)
     return _certified(
         ExponentFamily("bracken_leander", r),
         n,

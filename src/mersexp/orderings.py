@@ -142,14 +142,19 @@ def _regular_word(rows: Sequence[Sequence[int]], n: int, r: int) -> bytearray:
 
 
 def matrix_of_sequence(values: Sequence[int], n: int, r: int) -> RMatrix:
-    """r-matrix of an arbitrary length-n integer word."""
+    """r-matrix of a length-n integer word, bytes read as signed bytes."""
     if len(values) != n:
         raise ValueError(f"expected {n} values, got {len(values)}")
     d = gcd(n, r)
     m, step = n // d, r // d
-    if d == 1 or isinstance(values, (bytes, bytearray)) and m > _LONG_ROW:
+    packed = isinstance(values, (bytes, bytearray))
+    if d == 1 or packed and m > _LONG_ROW:
         rows = [_decimate(values[i::d], step) for i in range(d)]
+        if packed:  # bytearrays, read as signed bytes
+            rows = [memoryview(row).cast("b") for row in rows]
         return RMatrix(n, r, tuple(map(tuple, rows)))
+    if packed:
+        values = memoryview(values).cast("b")
     blocks = list(zip(*[iter(values)] * d))
     return RMatrix(n, r, tuple(zip(*_decimate(blocks, step))))
 

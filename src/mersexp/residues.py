@@ -11,6 +11,7 @@ in the package is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 __all__ = [
@@ -71,9 +72,9 @@ class BitSequence:
     """Length-n cyclic binary word; index 0 is the least significant bit.
 
     word holds one byte, 0 or 1, per position (the constructor takes any
-    int sequence), and bits is its tuple view.  The all-ones word is
-    rejected: it denotes 2^n - 1, the class of 0, which only the
-    all-zero word represents.
+    int sequence), bits is its tuple view and value, computed once, the
+    integer it spells.  The all-ones word is rejected: it denotes
+    2^n - 1, the class of 0, which only the all-zero word represents.
     """
 
     n: int
@@ -100,6 +101,10 @@ class BitSequence:
     def bits(self) -> tuple[int, ...]:
         return tuple(self.word)
 
+    @cached_property
+    def value(self) -> int:
+        return _word_value(self.word)
+
     def weight(self) -> int:
         return self.word.count(1)
 
@@ -109,10 +114,17 @@ _CHARS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _BITS_TO_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
+def _known_bits(n: int, word: bytes, value: int) -> BitSequence:
+    """BitSequence(n, word) with its value filled in; word must spell it."""
+    bits = BitSequence(n, word)
+    bits.__dict__["value"] = value  # the cached_property's own slot
+    return bits
+
+
 def to_bits(x: Residue) -> BitSequence:
     """Binary expansion of a residue, least significant bit first."""
     word = format(x.value, f"0{x.n}b")[::-1]
-    return BitSequence(x.n, word.encode().translate(_CHARS_TO_BITS))
+    return _known_bits(x.n, word.encode().translate(_CHARS_TO_BITS), x.value)
 
 
 def _word_value(word: bytes) -> int:
@@ -122,7 +134,7 @@ def _word_value(word: bytes) -> int:
 
 def from_bits(b: BitSequence) -> Residue:
     """Residue with the given binary expansion."""
-    return Residue(b.n, _word_value(b.word))
+    return Residue(b.n, b.value)
 
 
 def mul_mod(a: Residue, b: Residue) -> Residue:

@@ -17,7 +17,8 @@ from mersexp import (
     to_bits,
     verify_congruence,
 )
-from mersexp.carry import _propagate
+
+from carry_oracle import propagate
 
 
 def bits_of(value, n):
@@ -29,7 +30,7 @@ def enumerated_carries(form, a, s):
     return [
         c
         for seed in range(form.t_minus, form.t_plus)
-        if (c := _propagate(form, a, s, seed)) is not None
+        if (c := propagate(form, a, s, seed)) is not None
     ]
 
 
@@ -63,8 +64,11 @@ def test_solve_matches_seed_enumeration(case):
     closing = enumerated_carries(form, bits_a, bits_s)
     assert len(closing) == int(holds)
     if holds:
-        assert solve_carries(form, bits_a, bits_s).carries == closing[0]
+        c = solve_carries(form, bits_a, bits_s)
+        assert c.carries == closing[0]
         assert verify_congruence(form, bits_a, bits_s).carries == closing[0]
+        rebuilt = CarrySequence(n, c.carries)
+        assert rebuilt == c and hash(rebuilt) == hash(c)
     else:
         with pytest.raises(CongruenceError):
             solve_carries(form, bits_a, bits_s)
@@ -98,6 +102,8 @@ def test_wide_carry_ranges_match_seed_enumeration(terms):
                 if (form.value() * a - s) % mask == 0:
                     c = verify_congruence(form, bits_a, bits_s)
                     assert [c.carries] == closing
+                    rebuilt = CarrySequence(n, c.carries)
+                    assert rebuilt == c and hash(rebuilt) == hash(c)
                 else:
                     assert closing == []
                     with pytest.raises(CongruenceError):
@@ -130,6 +136,30 @@ def test_cross_check_catches_a_corrupted_word(monkeypatch):
         monkeypatch.setattr(carry_mod, "solve_carries", corrupted)
         with pytest.raises(RuntimeError, match=message):
             verify_congruence(form, a, s)
+
+
+def test_carry_sequence_contract():
+    # signed bytes in .word while every carry fits one, a tuple otherwise;
+    # .carries is the tuple view, however the word was given
+    carries = (1, -1, 0, 127, -128)
+    signed = b"\x01\xff\x00\x7f\x80"
+    words = [CarrySequence(5, kind(carries)) for kind in (tuple, list)]
+    words.append(CarrySequence(5, signed))
+    for word in words:
+        assert word == words[0] and hash(word) == hash(words[0])
+        assert type(word.word) is bytes and word.word == signed
+        assert type(word.carries) is tuple and word.carries == carries
+        assert word.weight() == -1
+    for wide in ((0, 128, -1), (-129, 0, 1), (0, 300, -300)):
+        word = CarrySequence(3, list(wide))
+        assert word.word == word.carries == wide
+        assert word == CarrySequence(3, wide)
+        assert word.weight() == sum(wide)
+    assert CarrySequence(3, (0, 200, 0)) != CarrySequence(3, (0, -56, 0))
+    with pytest.raises(ValueError, match="expected 4 carries, got 3"):
+        CarrySequence(4, (0, 1, 0))
+    with pytest.raises(ValueError, match="expected 4 carries, got 3"):
+        CarrySequence(4, (0, 300, 0))
 
 
 def test_all_ones_sum_with_zero_s():
@@ -262,7 +292,7 @@ def test_uniqueness_of_seed():
         ok = [
             seed
             for seed in range(form.t_minus, form.t_plus)
-            if _propagate(form, bits_of(a, n), bits_of(s, n), seed) is not None
+            if propagate(form, bits_of(a, n), bits_of(s, n), seed) is not None
         ]
         assert len(ok) == 1
 

@@ -1,9 +1,12 @@
 import random
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mersexp import (
     BitSequence,
+    CarrySequence,
     RMatrix,
     Residue,
     e_value,
@@ -168,3 +171,39 @@ def test_byte_decimation_long_words(n, r):
     assert m.entries == expected
     assert from_r_matrix(m) == word
     assert matrix_of_sequence(word.bits, n, r) == m
+
+
+@st.composite
+def carry_words(draw):
+    """(CarrySequence, r) with signed-byte carries, negative ones included,
+    for d = 1, d > 1 with m <= 1024 and d > 1 with m > 1024 (d = gcd(n, r),
+    m = n/d): the short-row, column and strand paths of the decimation."""
+    shape = draw(st.sampled_from(("d1", "short rows", "long rows")))
+    if shape == "d1":
+        d, m = 1, draw(st.integers(2, 1500))
+    elif shape == "short rows":
+        d, m = draw(st.integers(2, 9)), draw(st.integers(1, 1024))
+    else:
+        d, m = draw(st.integers(2, 4)), draw(st.integers(1025, 1300))
+    k = draw(st.integers(1, m))
+    assume(gcd(k, m) == 1)
+    # the kasami range, a wider form's, a whole signed byte
+    lo, hi = draw(st.sampled_from(((-1, 1), (-2, 2), (-128, 127))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = d * m
+    c = CarrySequence(n, [rng.randint(lo, hi) for _ in range(n)])
+    return c, d * k
+
+
+@settings(max_examples=60, deadline=None)
+@given(carry_words())
+def test_carry_matrix_bytes_match_tuple(case):
+    c, r = case
+    n, carries = c.n, c.carries
+    assert type(c.word) is bytes
+    m = matrix_of_sequence(c.word, n, r)
+    assert m == matrix_of_sequence(carries, n, r)
+    assert m.entries == tuple(
+        tuple(carries[(i - j * r) % n] for j in range(m.cols))
+        for i in range(m.d)
+    )

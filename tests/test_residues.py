@@ -201,3 +201,16 @@ def test_bit_sequence_contract():
         with pytest.raises(ValueError) as info:
             BitSequence(n, value)
         assert str(info.value) == message
+
+
+@given(st.integers(2, 300), st.data())
+def test_bit_sequence_value(n, data):
+    # the cached integer: filled in by to_bits, computed by a direct build
+    v = data.draw(st.integers(0, (1 << n) - 2))
+    filled = to_bits(Residue(n, v))
+    built = BitSequence(n, filled.word)
+    expected = sum(bit << i for i, bit in enumerate(filled.bits))
+    assert expected == v
+    for word in (filled, built):
+        assert word.value == from_bits(word).value == v
+    assert built == filled and hash(built) == hash(filled)
