@@ -115,28 +115,41 @@ def canonical_form(f: ExponentFamily) -> SignedPowerForm:
 _FLIP_SIGN = bytes(v ^ 0x80 for v in range(256))
 
 
+def _signed_bytes(*words) -> bytes:
+    """The words joined, one signed byte (v mod 256) per entry: the one
+    reader of that format.  Bytes-like words are taken as they are and
+    int sequences converted; any other entry raises ValueError."""
+    try:  # bytes-like words join as they are
+        return b"".join(words)
+    except TypeError:  # an int sequence among them
+        if len(words) > 1:
+            return b"".join([_signed_bytes(word) for word in words])
+    try:  # flipping the sign bit of v + 128 gives v mod 256
+        return bytes(v + 128 for v in words[0]).translate(_FLIP_SIGN)
+    except (TypeError, ValueError):
+        raise ValueError("need bits or carries in [-128, 127]") from None
+
+
 @dataclass(frozen=True)
 class CarrySequence:
     """Length-n word of carries; weight is the plain sum of entries.
 
     word holds one signed byte (c mod 256) per carry when every carry
     lies in [-128, 127], and the tuple of carries otherwise; carries is
-    its tuple view.  The constructor takes any int sequence, reading
-    bytes as signed bytes, and stores it in that one form, so equal
-    words compare and hash equal however they were given.
+    its tuple view.  The constructor takes any int sequence, reading a
+    bytes-like word as signed bytes, and stores it in that one form, so
+    equal words compare and hash equal however they were given.
     """
 
     n: int
     word: bytes | tuple[int, ...]
 
     def __post_init__(self) -> None:
-        word = self.word
-        if not isinstance(word, bytes):
-            try:  # flipping the sign bit of c + 128 gives c mod 256
-                word = bytes(c + 128 for c in word).translate(_FLIP_SIGN)
-            except (TypeError, ValueError):  # a carry beyond a signed byte
-                word = tuple(word)
-            object.__setattr__(self, "word", word)
+        try:
+            word = _signed_bytes(self.word)
+        except ValueError:  # a carry beyond a signed byte
+            word = tuple(self.word)
+        object.__setattr__(self, "word", word)
         if len(word) != self.n:
             raise ValueError(f"expected {self.n} carries, got {len(word)}")
 

@@ -31,7 +31,7 @@ from .closed_form import (
     kasami_inverse,
     kasami_invertible,
 )
-from .orderings import RMatrix, matrix_of_sequence
+from .orderings import matrix_of_sequence
 from .residues import (
     ExponentFamily,
     NotInvertibleError,
@@ -108,11 +108,7 @@ def _residue_doc(value: int, n: int) -> dict[str, Any]:
     return {"dec": value, "bits": f"0b{value:0{n}b}"}
 
 
-def _matrix_doc(m: RMatrix) -> list[list[int]]:
-    return [list(row) for row in m.entries]
-
-
-def _rows_text(rows: list[list[int]]) -> str:
+def _rows_text(rows: tuple[tuple[int, ...], ...]) -> str:
     width = max(len(str(v)) for row in rows for v in row)
     return "\n".join(
         "  " + " ".join(f"{v:>{width}}" for v in row) for row in rows
@@ -258,8 +254,8 @@ def _cmd_inverse(args: argparse.Namespace) -> dict[str, Any]:
     result = {
         "inverse": _residue_doc(res.inverse.value, n),
         "weight": res.weight,
-        "r_matrix": _matrix_doc(res.r_matrix),
-        "carry_matrix": _matrix_doc(res.carry_matrix),
+        "r_matrix": res.r_matrix.entries,  # JSON writes tuples as lists
+        "carry_matrix": res.carry_matrix.entries,
     }
     inputs = {"family": family, "r": args.r, "n": n}
     return _doc("inverse", inputs, result, res.case_label, res.warnings)
@@ -280,9 +276,7 @@ def _cmd_carry(args: argparse.Namespace) -> dict[str, Any]:
     }
     if fam is not None and fam.kind != "raw":
         r = fam.param
-        result["carry_matrix"] = _matrix_doc(
-            matrix_of_sequence(carries.word, n, r)
-        )
+        result["carry_matrix"] = matrix_of_sequence(carries.word, n, r).entries
         if fam.kind == "kasami":
             report = carry_constraints_check(carries, form, r, a, s)
             result["constraint_checks"] = {

@@ -104,14 +104,14 @@ def _certified(
     """
     r = family.param
     try:
-        r_matrix = RMatrix(n, r, tuple(map(tuple, rows)))
+        r_matrix = RMatrix(n, r, rows)
     except ValueError:
         d = gcd(r, n)
         raise RuntimeError(
             f"internal consistency failure: {label} at r={r}, n={n} "
             f"has a block layout other than {d} rows of {n // d}"
         ) from None
-    word = _regular_word(rows, n, r)
+    word = _regular_word(r_matrix.flat, n, r)
     inv = Residue(n, fold_mod(_word_value(word), n))
     form = canonical_form(family)
     if mul_mod(Residue(n, fold_mod(form.value(), n)), inv).value != 1:

@@ -4,16 +4,17 @@ The closed-form inverse constructions work in one coordinate system:
 the d x (n/d) r-matrix with entry (i, j) = a[(i - j*r) mod n],
 d = gcd(n, r).  With d = 1 its single row is the r-ordering, the
 decimation of the word by -r.  Rows and columns are indexed from 0;
-the reindexing is a weight preserving permutation of the word.
+the reindexing is a weight preserving permutation of the word, done on
+signed bytes throughout (the comment at _SHORT_ROW has the cut-offs).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import InitVar, dataclass, field
 from math import gcd, isqrt
 from typing import Sequence
 
+from .carry import _signed_bytes
 from .residues import BitSequence
 
 __all__ = [
@@ -34,10 +35,7 @@ def e_value(r: int, n: int) -> int:
     if r < 1 or n < 1:
         raise ValueError("r and n must be positive")
     d = gcd(r, n)
-    m = n // d
-    if m == 1:
-        return 0
-    return pow(r // d, -1, m)
+    return pow(r // d, -1, n // d)  # 0 when n/d = 1
 
 
 @dataclass(frozen=True)
@@ -45,22 +43,24 @@ class RMatrix:
     """d x (n/d) reindexing of a length-n word, d = gcd(n, r).
 
     entries[i][j] is the word's value at position (i - j*r) mod n; this
-    correspondence is the single source of truth for indexing.  Entries
-    are small integers: bit words use {0, 1}, carry words may also hold
-    -1 and 2.
+    correspondence is the single source of truth for indexing.  flat
+    keeps the entries row by row, one signed byte (v mod 256) each, and
+    entries is its tuple view.  The constructor takes the d rows as int
+    or byte sequences; entries are bits or carries, in [-128, 127].
     """
 
     n: int
     r: int
-    entries: tuple[tuple[int, ...], ...]
+    rows: InitVar[Sequence[Sequence[int]]]
+    flat: bytes = field(init=False)
 
-    def __post_init__(self) -> None:
-        d = gcd(self.n, self.r)
-        if len(self.entries) != d:
-            raise ValueError(f"expected {d} rows, got {len(self.entries)}")
-        cols = self.n // d
-        if set(map(len, self.entries)) != {cols}:
-            raise ValueError(f"every row must have {cols} entries")
+    def __post_init__(self, rows: Sequence[Sequence[int]]) -> None:
+        d = self.d
+        if len(rows) != d:
+            raise ValueError(f"expected {d} rows, got {len(rows)}")
+        if set(map(len, rows)) != {self.cols}:
+            raise ValueError(f"every row must have {self.cols} entries")
+        object.__setattr__(self, "flat", _signed_bytes(*rows))
 
     @property
     def d(self) -> int:
@@ -70,93 +70,91 @@ class RMatrix:
     def cols(self) -> int:
         return self.n // self.d
 
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        flat, m = memoryview(self.flat).cast("b"), self.cols
+        return tuple(tuple(flat[i : i + m]) for i in range(0, self.n, m))
 
-def _walk(
-    seq: Sequence[int], start: int, stride: int, count: int
-) -> Sequence[int]:
+
+def _walk(seq: bytes, start: int, stride: int, count: int) -> bytearray:
     """seq[(start + t*stride) % m] for t < count, read as runs of slices."""
-    m = len(seq)
-    out = bytearray() if isinstance(seq, (bytes, bytearray)) else []
-    x = start
-    if 2 * stride <= m:
-        while len(out) < count:
-            run = seq[x::stride][: count - len(out)]
-            out += run
-            x += len(run) * stride - m
-    else:
-        back = m - stride
-        while len(out) < count:
-            run = seq[x::-back][: count - len(out)]
-            out += run
-            x += m - len(run) * back
+    m, out = len(seq), bytearray()
+    while len(out) < count:
+        run = seq[start::stride][: count - len(out)]
+        out += run
+        start += len(run) * stride - m
     return out
 
 
-def _decimate(seq: Sequence[int], step: int) -> Sequence[int]:
+def _decimate(seq: bytes, step: int) -> bytearray:
     """[seq[(-j*step) % m] for j < m], m = len(seq), step prime to m.
 
-    Keeps its input's kind: bytes (or a bytearray) give a bytearray,
-    any other sequence a list.  Words up to 256 entries are read one
-    index per entry; longer ones are built from slices instead: for the
-    k <= sqrt(m) with k*step mod m nearest 0 or m, the entries j = c,
-    c + k, c + 2k, ... walk seq with that short stride and wrap around
-    only a few times, so about 2*sqrt(m) slices cover the word.
+    Up to _SHORT_ROW entries it is every g-th entry of g copies of seq,
+    g = -step mod m.  Longer words are walked: for the k <= sqrt(m) with
+    k*g mod m nearest 0 or m, entries c, c + k, ... step through seq (or
+    the reversed seq) by that short stride, about 2*sqrt(m) slices in all.
     """
     m = len(seq)
-    packed = isinstance(seq, (bytes, bytearray))
-    if m <= 256:  # short words: one index per entry is cheaper
-        out = [seq[(-j * step) % m] for j in range(m)]
-        return bytearray(out) if packed else out
-    g = -step % m
+    g, top = m - step % m, 0
+    if m <= _SHORT_ROW:  # g copies of seq, at most m*m bytes
+        return bytearray((seq * g)[::g])
     k = min(
         range(1, isqrt(m) + 1),
         key=lambda k: k + min(k * g % m, -k * g % m),
     )
-    out = bytearray(m) if packed else [0] * m
+    if 2 * (k * g % m) > m:  # seq[x] is the reversed word's m - 1 - x
+        seq, g, top = seq[::-1], m - g, m - 1
+    out = bytearray(m)
     for c in range(k):
-        out[c::k] = _walk(seq, c * g % m, k * g % m, len(range(c, m, k)))
+        x = (top + c * g) % m
+        out[c::k] = _walk(seq, x, k * g % m, len(range(c, m, k)))
     return out
 
 
 # With d = gcd(n, r) and n = d*m, position (i - j*r) mod n is
 # i + d*((-j*r/d) mod m): row i is the strand word[i::d] decimated by
-# r/d, and column j is the block of d consecutive entries starting at
-# d*((-j*r/d) mod m), so the columns are the word's blocks decimated.
-# Bytes with rows longer than _LONG_ROW (near where the two cost the
-# same) go strand by strand, in cheap byte slices; other words move
-# whole columns, one step per entry but about 2*sqrt(m) slices in all.
-_LONG_ROW = 1024
+# r/d, and column j, flat[j::m], is the block of d consecutive entries
+# starting at d*((-j*r/d) mod m).  Rows longer than d go strand by
+# strand, the other words column by column, one slice copy each: the
+# two cost the same near m = 1.5*d for d <= 32, beyond m = 3*d at
+# d = 128.  Up to _SHORT_ROW, g copies of a row (at most 256 KB) beat
+# the walk threefold; at m = 1024 some steps already lose.
+_SHORT_ROW = 512
 
 
-def _regular_word(rows: Sequence[Sequence[int]], n: int, r: int) -> bytearray:
-    """The bytes of the word whose r-matrix has these rows."""
+def _regular_word(flat: bytes, n: int, r: int) -> bytearray:
+    """The bytes of the word whose r-matrix has these flat entries."""
     d = gcd(n, r)
-    m = n // d
-    inverse = pow(r // d, -1, m)
-    if d == 1 or m > _LONG_ROW:
-        word = bytearray(n)
-        for i, row in enumerate(rows):
-            word[i::d] = _decimate(bytes(row), inverse)
-        return word
-    return bytearray(chain.from_iterable(_decimate(list(zip(*rows)), inverse)))
+    m, step = n // d, r // d
+    word = bytearray(n)
+    if m > d:
+        inverse = pow(step, -1, m)
+        for i in range(d):
+            word[i::d] = _decimate(flat[i * m : (i + 1) * m], inverse)
+    else:
+        for j in range(m):
+            b = -j * step % m * d
+            word[b : b + d] = flat[j::m]
+    return word
 
 
 def matrix_of_sequence(values: Sequence[int], n: int, r: int) -> RMatrix:
-    """r-matrix of a length-n integer word, bytes read as signed bytes."""
-    if len(values) != n:
-        raise ValueError(f"expected {n} values, got {len(values)}")
+    """r-matrix of a length-n word of ints in [-128, 127] or signed bytes."""
+    word = _signed_bytes(values)
+    if len(word) != n:
+        raise ValueError(f"expected {n} values, got {len(word)}")
     d = gcd(n, r)
     m, step = n // d, r // d
-    packed = isinstance(values, (bytes, bytearray))
-    if d == 1 or packed and m > _LONG_ROW:
-        rows = [_decimate(values[i::d], step) for i in range(d)]
-        if packed:  # bytearrays, read as signed bytes
-            rows = [memoryview(row).cast("b") for row in rows]
-        return RMatrix(n, r, tuple(map(tuple, rows)))
-    if packed:
-        values = memoryview(values).cast("b")
-    blocks = list(zip(*[iter(values)] * d))
-    return RMatrix(n, r, tuple(zip(*_decimate(blocks, step))))
+    if m > d:
+        flat = b"".join(_decimate(word[i::d], step) for i in range(d))
+    else:
+        flat = bytearray(n)
+        for j in range(m):
+            b = -j * step % m * d
+            flat[j::m] = word[b : b + d]
+    matrix = object.__new__(RMatrix)  # flat, not split into rows again
+    matrix.__dict__.update(n=n, r=r, flat=bytes(flat))
+    return matrix
 
 
 def to_r_matrix(a: BitSequence, r: int) -> RMatrix:
@@ -165,13 +163,8 @@ def to_r_matrix(a: BitSequence, r: int) -> RMatrix:
 
 
 def from_r_matrix(m: RMatrix) -> BitSequence:
-    """Reassemble the bit word of a binary r-matrix.
+    """The bit word of a binary r-matrix, the left inverse of to_r_matrix.
 
-    Left inverse of to_r_matrix.  Rejects non-binary entries, and the
-    all-ones reassembly is rejected by BitSequence for canonicality.
+    BitSequence rejects non-bits and, for canonicality, the all-ones word.
     """
-    try:
-        word = _regular_word(m.entries, m.n, m.r)
-    except (TypeError, ValueError):  # an entry that is no byte at all
-        raise ValueError("matrix entries must be bits") from None
-    return BitSequence(m.n, word)
+    return BitSequence(m.n, _regular_word(m.flat, m.n, m.r))

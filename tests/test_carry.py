@@ -162,6 +162,18 @@ def test_carry_sequence_contract():
         CarrySequence(4, (0, 300, 0))
 
 
+def test_carry_sequence_reads_every_buffer_as_signed_bytes():
+    # bytes, bytearray and memoryview words hold the same signed bytes,
+    # equal and hash-equal to the int tuple they spell
+    carries = (1, -1, 0, 127, -128)
+    signed = b"\x01\xff\x00\x7f\x80"
+    buffers = (signed, bytearray(signed), memoryview(signed))
+    words = [CarrySequence(5, word) for word in (*buffers, carries)]
+    for word in words:
+        assert word == words[-1] and hash(word) == hash(words[-1])
+        assert type(word.word) is bytes and word.carries == carries
+    assert CarrySequence(2, bytearray(b"\x01\xff")).carries == (1, -1)
+
 def test_all_ones_sum_with_zero_s():
     # sum_j t_j rot_j(a) = q (2^n - 1) with q != 0: s = 0 holds, and the
     # seed identity must give c[n-1] = q rather than 0

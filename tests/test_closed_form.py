@@ -484,3 +484,13 @@ def test_large_certificates_match_oracle_and_recurrence(kind, r, n):
     )
     assert res.carry_matrix == matrix_of_sequence(solved.carries, n, r)
     assert from_r_matrix(res.r_matrix) == to_bits(res.inverse)
+    # both matrices against the definition, entry (i, j) = word[(i - j*r) % n]
+    d = gcd(r, n)
+    for matrix, word in (
+        (res.r_matrix, to_bits(res.inverse).bits),
+        (res.carry_matrix, solved.carries),
+    ):
+        assert matrix.entries == tuple(
+            tuple(word[(i - j * r) % n] for j in range(n // d))
+            for i in range(d)
+        )

@@ -104,6 +104,42 @@ def test_from_r_matrix_rejects_bad_entries():
         from_r_matrix(RMatrix(4, 2, ((1, 1), (1, 1))))
 
 
+def test_r_matrix_contract():
+    # flat keeps one signed byte per entry, row by row, and entries is
+    # its view: byte rows and int rows give the same matrix
+    ints = RMatrix(6, 2, ((1, 1, 0), (-1, 0, 2)))
+    raw = RMatrix(6, 2, (b"\x01\x01\x00", bytearray(b"\xff\x00\x02")))
+    assert ints == raw and hash(ints) == hash(raw)
+    assert ints.flat == raw.flat == b"\x01\x01\x00\xff\x00\x02"
+    assert ints.entries == raw.entries == ((1, 1, 0), (-1, 0, 2))
+    assert RMatrix(3, 1, (b"\xff\x00\x01",)).entries == ((-1, 0, 1),)
+    assert RMatrix(3, 1, ((127, -128, 0),)).entries == ((127, -128, 0),)
+    for bad in (128, -129, 1.5):
+        with pytest.raises(ValueError):
+            RMatrix(3, 1, ((bad, 0, 0),))
+        with pytest.raises(ValueError):
+            RMatrix(4, 2, ((0, 0), (0, bad)))
+    with pytest.raises(ValueError, match="expected 3 rows, got 1"):
+        RMatrix(6, 3, ((0,) * 6,))
+    with pytest.raises(ValueError, match="every row must have 3 entries"):
+        RMatrix(6, 2, ((0, 0, 0), (0, 0)))
+    # matrix_of_sequence reads the same format and keeps the same range
+    built = RMatrix(3, 1, ((-1, 1, 0),))
+    for word in (
+        (-1, 0, 1),
+        b"\xff\x00\x01",
+        bytearray(b"\xff\x00\x01"),
+        memoryview(b"\xff\x00\x01"),
+    ):
+        m = matrix_of_sequence(word, 3, 1)
+        assert m == built and hash(m) == hash(built)
+        assert m.entries == ((-1, 1, 0),)
+    for bad in (128, -129, 300):
+        with pytest.raises(ValueError):
+            matrix_of_sequence((bad, 0, 0), 3, 1)
+        with pytest.raises(ValueError):
+            matrix_of_sequence((0, 0, 0, bad), 4, 2)
+
 def test_round_trip_and_weight_random():
     rng = random.Random(2024)
     for _ in range(1000):
@@ -177,7 +213,8 @@ def test_byte_decimation_long_words(n, r):
 def carry_words(draw):
     """(CarrySequence, r) with signed-byte carries, negative ones included,
     for d = 1, d > 1 with m <= 1024 and d > 1 with m > 1024 (d = gcd(n, r),
-    m = n/d): the short-row, column and strand paths of the decimation."""
+    m = n/d): the column path (m <= d) and the strand path, whose rows
+    are decimated from copies up to 512 entries and walked beyond."""
     shape = draw(st.sampled_from(("d1", "short rows", "long rows")))
     if shape == "d1":
         d, m = 1, draw(st.integers(2, 1500))
