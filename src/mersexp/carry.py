@@ -136,7 +136,7 @@ class CarrySequence:
 
     word holds one signed byte (c mod 256) per carry when every carry
     lies in [-128, 127], and the tuple of carries otherwise; carries is
-    its tuple view.  The constructor takes any int sequence, reading a
+    its tuple view.  The constructor reads any int iterable once, and a
     bytes-like word as signed bytes, and stores it in that one form, so
     equal words compare and hash equal however they were given.
     """
@@ -145,10 +145,15 @@ class CarrySequence:
     word: bytes | tuple[int, ...]
 
     def __post_init__(self) -> None:
+        word = self.word
         try:
-            word = _signed_bytes(self.word)
-        except ValueError:  # a carry beyond a signed byte
-            word = tuple(self.word)
+            memoryview(word)
+        except TypeError:  # an int iterable, read once
+            word = tuple(word)
+        try:
+            word = _signed_bytes(word)
+        except ValueError:  # a carry beyond a signed byte: keep the tuple
+            pass
         object.__setattr__(self, "word", word)
         if len(word) != self.n:
             raise ValueError(f"expected {self.n} carries, got {len(word)}")

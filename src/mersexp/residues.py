@@ -21,13 +21,13 @@ __all__ = [
     "ExponentFamily",
     "fold_mod",
     "to_bits",
-    "from_bits",
     "mul_mod",
     "ext_euclid_inverse",
     "binary_weight",
     "cyclotomic_shift",
     "cyclotomic_canonical",
     "family_exponent",
+    "is_invertible",
 ]
 
 
@@ -130,11 +130,6 @@ def to_bits(x: Residue) -> BitSequence:
 def _word_value(word: bytes) -> int:
     """The integer whose binary digits, least significant first, are word."""
     return int(word[::-1].translate(_BITS_TO_CHARS), 2)
-
-
-def from_bits(b: BitSequence) -> Residue:
-    """Residue with the given binary expansion."""
-    return Residue(b.n, b.value)
 
 
 def mul_mod(a: Residue, b: Residue) -> Residue:

@@ -11,7 +11,6 @@ from mersexp import (
     canonical_form,
     carry_constraints_check,
     fold_mod,
-    from_bits,
     signed_form,
     solve_carries,
     to_bits,
@@ -118,7 +117,7 @@ def test_cross_check_catches_a_corrupted_word(monkeypatch):
     form = canonical_form(ExponentFamily("kasami", 3))
     n = 101
     a = bits_of(random.Random(5).randrange((1 << n) - 1), n)
-    s = bits_of(form.value() * from_bits(a).value % ((1 << n) - 1), n)
+    s = bits_of(form.value() * a.value % ((1 << n) - 1), n)
     solve = carry_mod.solve_carries
     lo, hi = form.t_minus, form.t_plus - 1
     for step, message in (
@@ -173,6 +172,17 @@ def test_carry_sequence_reads_every_buffer_as_signed_bytes():
         assert word == words[-1] and hash(word) == hash(words[-1])
         assert type(word.word) is bytes and word.carries == carries
     assert CarrySequence(2, bytearray(b"\x01\xff")).carries == (1, -1)
+
+
+def test_carry_sequence_reads_a_one_shot_word_once():
+    # iterators and generators, narrow and wide, give the tuple's sequence
+    for carries in ((0, 1, 1), (0, -1, 1), (0, 300, 1), (-129, 0, 127)):
+        expected = CarrySequence(3, carries)
+        for word in (iter(carries), (c for c in carries)):
+            got = CarrySequence(3, word)
+            assert got == expected and hash(got) == hash(expected)
+            assert got.carries == carries
+
 
 def test_all_ones_sum_with_zero_s():
     # sum_j t_j rot_j(a) = q (2^n - 1) with q != 0: s = 0 holds, and the

@@ -1,0 +1,91 @@
+"""The package's public surface: each module's __all__, stated once."""
+
+import ast
+import importlib
+import io
+import tokenize
+from pathlib import Path
+
+import mersexp
+
+MODULES = ("residues", "carry", "orderings", "closed_form", "sbox")
+SRC = Path(mersexp.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _module(name):
+    return importlib.import_module(f"mersexp.{name}")
+
+
+def test_package_all_is_the_module_alls():
+    expected = [name for m in MODULES for name in _module(m).__all__]
+    assert mersexp.__all__ == expected
+    assert len(set(expected)) == len(expected)
+
+
+def test_every_public_name_is_its_modules_object():
+    for m in MODULES:
+        module = _module(m)
+        for name in module.__all__:
+            assert getattr(mersexp, name) is getattr(module, name), name
+
+
+def test_sibling_imports_are_public():
+    # a public name that one module imports from another is in the
+    # other's __all__, so no module depends on an unlisted name
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            if node.module is None:  # from . import <module>
+                continue
+            exported = _module(node.module).__all__
+            missing += [
+                f"{path.name}: {node.module}.{alias.name}"
+                for alias in node.names
+                if not alias.name.startswith(("_", "*"))
+                and alias.name not in exported
+            ]
+    assert missing == []
+
+
+def _quick_tour():
+    text = README.read_text()
+    section = text[text.index("## Library quick tour"):]
+    start = section.index("```python\n") + len("```python\n")
+    return section[start:section.index("```", start)]
+
+
+def _expected(comment):
+    # the longest prefix of a comment that is a Python literal
+    text = comment.lstrip("#").strip()
+    for end in range(len(text), 0, -1):
+        try:
+            return ast.literal_eval(text[:end])
+        except (ValueError, SyntaxError):
+            continue
+    raise AssertionError(f"no value in comment {comment!r}")
+
+
+def test_readme_quick_tour_values():
+    source = _quick_tour()
+    comments = {
+        tok.start[0]: tok.string
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    namespace = {}
+    checked = []
+    for stmt in ast.parse(source).body:
+        comment = comments.get(stmt.end_lineno)
+        if isinstance(stmt, ast.Expr) and comment is not None:
+            got = eval(compile(ast.Expression(stmt.value), "README", "eval"),
+                       namespace)
+            assert got == _expected(comment), ast.unparse(stmt)
+            checked.append(got)
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    assert checked == [
+        78, 4, "KASAMI_GCD1_E6K5", ((0, 0, 1, 0, 1, 1, 1),), 3, 2
+    ]

@@ -13,7 +13,6 @@ from mersexp import (
     ext_euclid_inverse,
     family_exponent,
     fold_mod,
-    from_bits,
     mul_mod,
     to_bits,
 )
@@ -29,7 +28,8 @@ def test_to_bits_matches_expansion():
 def test_bits_round_trip():
     for n in range(2, 10):
         for v in range((1 << n) - 1):
-            assert from_bits(to_bits(Residue(n, v))).value == v
+            # to_bits fills in value; a word built from its bytes computes it
+            assert BitSequence(n, to_bits(Residue(n, v)).word).value == v
 
 
 def test_all_ones_word_rejected():
@@ -212,5 +212,5 @@ def test_bit_sequence_value(n, data):
     expected = sum(bit << i for i, bit in enumerate(filled.bits))
     assert expected == v
     for word in (filled, built):
-        assert word.value == from_bits(word).value == v
+        assert word.value == v
     assert built == filled and hash(built) == hash(filled)
