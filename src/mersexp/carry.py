@@ -31,10 +31,10 @@ those bytes by flipping their sign bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
+from operator import index
 
-from .residues import _FAMILIES, BitSequence, ExponentFamily
+from .residues import _FAMILIES, BitSequence, ExponentFamily, _Record
 
 __all__ = [
     "CongruenceError",
@@ -53,8 +53,7 @@ class CongruenceError(ValueError):
     """No carry word closes the cycle: s is not l*a mod 2^n - 1."""
 
 
-@dataclass(frozen=True)
-class SignedPowerForm:
+class SignedPowerForm(_Record):
     """An exponent written as sum_j t_j * 2^j with signed coefficients.
 
     terms maps exponent j >= 0 to a nonzero integer coefficient t_j,
@@ -63,13 +62,14 @@ class SignedPowerForm:
     range {-1, 0, 1} instead of their wide binary expansion.
     """
 
-    terms: tuple[tuple[int, int], ...]
+    _fields = "terms"
 
-    def __post_init__(self) -> None:
-        if not self.terms:
+    def __init__(self, terms: tuple[tuple[int, int], ...]) -> None:
+        self.__dict__["terms"] = terms  # read by t_plus and value()
+        if not terms:
             raise ValueError("a signed power form needs at least one term")
         seen = set()
-        for j, t in self.terms:
+        for j, t in terms:
             if j < 0:
                 raise ValueError(f"exponent {j} must be >= 0")
             if t == 0:
@@ -130,8 +130,7 @@ def _signed_bytes(*words) -> bytes:
         raise ValueError("need bits or carries in [-128, 127]") from None
 
 
-@dataclass(frozen=True)
-class CarrySequence:
+class CarrySequence(_Record):
     """Length-n word of carries; weight is the plain sum of entries.
 
     word holds one signed byte (c mod 256) per carry when every carry
@@ -141,22 +140,23 @@ class CarrySequence:
     equal words compare and hash equal however they were given.
     """
 
-    n: int
-    word: bytes | tuple[int, ...]
+    _fields = "n word"
 
-    def __post_init__(self) -> None:
-        word = self.word
+    def __init__(self, n: int, word: bytes | tuple[int, ...]) -> None:
         try:
             memoryview(word)
         except TypeError:  # an int iterable, read once
             word = tuple(word)
         try:
             word = _signed_bytes(word)
-        except ValueError:  # a carry beyond a signed byte: keep the tuple
-            pass
-        object.__setattr__(self, "word", word)
-        if len(word) != self.n:
-            raise ValueError(f"expected {self.n} carries, got {len(word)}")
+        except ValueError:  # integers beyond a signed byte stay a tuple
+            try:
+                word = tuple(map(index, word))
+            except TypeError:
+                raise ValueError("carries must be integers") from None
+        if len(word) != n:
+            raise ValueError(f"expected {n} carries, got {len(word)}")
+        self.__dict__.update(n=n, word=word)
 
     @property
     def carries(self) -> tuple[int, ...]:
@@ -302,8 +302,7 @@ def _carry_lanes(c, lo: int, hi: int, width: int) -> tuple[int, int]:
     return int.from_bytes(raw, "little"), -lo
 
 
-@dataclass(frozen=True)
-class CarryReport:
+class CarryReport(_Record):
     """Constraint checks for a kasami-form carry word.
 
     pair_bound_ok:    every c[i] + c[i-r] lies in {-1, 0, 1}
@@ -311,10 +310,7 @@ class CarryReport:
     weight_identity:  weight(c) + weight(s) = weight(a)
     """
 
-    carry_weight: int
-    pair_bound_ok: bool
-    half_weight_ok: bool
-    weight_identity: bool
+    _fields = "carry_weight pair_bound_ok half_weight_ok weight_identity"
 
 
 def carry_constraints_check(

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
 
 from .carry import (
     CongruenceError,
@@ -104,7 +103,7 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
 
 
-def _residue_doc(value: int, n: int) -> dict[str, Any]:
+def _residue_doc(value: int, n: int) -> dict[str, object]:
     return {"dec": value, "bits": f"0b{value:0{n}b}"}
 
 
@@ -124,11 +123,11 @@ def _check_limit(value: int, limit: int, what: str, name: str = "n") -> None:
 
 def _doc(
     command: str,
-    inputs: dict[str, Any],
-    result: Any,
+    inputs: dict[str, object],
+    result: object,
     case_label: str | None = None,
     warnings: tuple[str, ...] = (),
-) -> dict[str, Any]:
+) -> dict[str, object]:
     return {
         "command": command,
         "inputs": inputs,
@@ -178,7 +177,7 @@ def _parse_l_spec(
     )
 
 
-def run_audit(n_min: int, n_max: int) -> dict[str, Any]:
+def run_audit(n_min: int, n_max: int) -> dict[str, object]:
     """Closed forms vs the extended-Euclid oracle over a range of n.
 
     Sweeps every invertible gold/kasami instance with 1 <= r < n (n >= 2
@@ -186,7 +185,7 @@ def run_audit(n_min: int, n_max: int) -> dict[str, Any]:
     4r in range, checking value and weight-formula agreement.
     """
     checked = 0
-    failures: list[dict[str, Any]] = []
+    failures: list[dict[str, object]] = []
     for family, n_least, has_closed_form in _AUDITED:
         kind = _SHORTHANDS[family]
         for n in range(max(n_least, n_min), n_max + 1):
@@ -220,7 +219,7 @@ def run_audit(n_min: int, n_max: int) -> dict[str, Any]:
     }
 
 
-def _cmd_inverse(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_inverse(args: argparse.Namespace) -> dict[str, object]:
     family = args.family
     kind = _SHORTHANDS[family]
     if kind == "raw":
@@ -261,14 +260,14 @@ def _cmd_inverse(args: argparse.Namespace) -> dict[str, Any]:
     return _doc("inverse", inputs, result, res.case_label, res.warnings)
 
 
-def _cmd_carry(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_carry(args: argparse.Namespace) -> dict[str, object]:
     n = args.n
     _check_limit(n, MAX_RING_N, "ring-size")
     form, fam, echo = _parse_l_spec(args.l_spec)
     a = to_bits(Residue(n, args.a))
     s = to_bits(Residue(n, args.s))
     carries = solve_carries(form, a, s)
-    result: dict[str, Any] = {
+    result: dict[str, object] = {
         "carries": list(reversed(carries.carries)),
         "weight": carries.weight(),
         "carry_matrix": None,
@@ -288,7 +287,7 @@ def _cmd_carry(args: argparse.Namespace) -> dict[str, Any]:
     return _doc("carry", inputs, result)
 
 
-def _cmd_audit(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_audit(args: argparse.Namespace) -> dict[str, object]:
     if args.n_min < 2 or args.n_max < args.n_min:
         raise ValueError("need 2 <= n-min <= n-max")
     _check_limit(args.n_max, MAX_AUDIT_N, "audit", "n-max")
@@ -296,7 +295,7 @@ def _cmd_audit(args: argparse.Namespace) -> dict[str, Any]:
     return _doc("audit", {"n_min": args.n_min, "n_max": args.n_max}, summary)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_analyze(args: argparse.Namespace) -> dict[str, object]:
     ctx = FieldContext(args.n)
     uniformity = differential_uniformity(args.l, ctx)
     x = Residue(args.n, args.l % ((1 << args.n) - 1))
@@ -310,7 +309,7 @@ def _cmd_analyze(args: argparse.Namespace) -> dict[str, Any]:
     return _doc("analyze", {"l": args.l, "n": args.n}, result)
 
 
-def _cmd_catalog(args: argparse.Namespace) -> dict[str, Any]:
+def _cmd_catalog(args: argparse.Namespace) -> dict[str, object]:
     _check_limit(args.n, MAX_CATALOG_N, "catalog")
     entries = []
     for entry in catalog_lookup(args.n):
@@ -334,7 +333,7 @@ def _cmd_catalog(args: argparse.Namespace) -> dict[str, Any]:
     return _doc("catalog", {"n": args.n}, {"entries": entries})
 
 
-def _render_text(doc: dict[str, Any], quiet: bool) -> str:
+def _render_text(doc: dict[str, object], quiet: bool) -> str:
     cmd = doc["command"]
     lines: list[str] = []
     res = doc["result"]

@@ -19,7 +19,6 @@ with the r-matrices of the inverse and of its certifying carry word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .carry import canonical_form, solve_carries
@@ -35,6 +34,7 @@ from .residues import (
     NotInvertibleError,
     Residue,
     _known_bits,
+    _Record,
     _word_value,
     binary_weight,
     cyclotomic_shift,
@@ -57,8 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InverseResult:
+class InverseResult(_Record):
     """A constructed inverse with its certificates.
 
     weight equals the binary weight of the inverse and the dispatched
@@ -66,12 +65,8 @@ class InverseResult:
     recurrence for s = 1, so the result is independently checkable.
     """
 
-    inverse: Residue
-    weight: int
-    case_label: str
-    r_matrix: RMatrix
-    carry_matrix: RMatrix
-    warnings: tuple[str, ...] = ()
+    _fields = "inverse weight case_label r_matrix carry_matrix warnings"
+    _defaults = {"warnings": ()}
 
 
 def _reduce_r(r: int, n: int, warnings: list[str]) -> int:

@@ -10,12 +10,11 @@ signed bytes throughout (the comment at _SHORT_ROW has the cut-offs).
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from collections.abc import Sequence
 from math import gcd, isqrt
-from typing import Sequence
 
 from .carry import _signed_bytes
-from .residues import BitSequence
+from .residues import BitSequence, _Record
 
 __all__ = [
     "RMatrix",
@@ -38,8 +37,7 @@ def e_value(r: int, n: int) -> int:
     return pow(r // d, -1, n // d)  # 0 when n/d = 1
 
 
-@dataclass(frozen=True)
-class RMatrix:
+class RMatrix(_Record):
     """d x (n/d) reindexing of a length-n word, d = gcd(n, r).
 
     entries[i][j] is the word's value at position (i - j*r) mod n; this
@@ -49,18 +47,15 @@ class RMatrix:
     or byte sequences; entries are bits or carries, in [-128, 127].
     """
 
-    n: int
-    r: int
-    rows: InitVar[Sequence[Sequence[int]]]
-    flat: bytes = field(init=False)
+    _fields = "n r flat"
 
-    def __post_init__(self, rows: Sequence[Sequence[int]]) -> None:
-        d = self.d
+    def __init__(self, n: int, r: int, rows: Sequence[Sequence[int]]) -> None:
+        d = gcd(n, r)
         if len(rows) != d:
             raise ValueError(f"expected {d} rows, got {len(rows)}")
-        if set(map(len, rows)) != {self.cols}:
-            raise ValueError(f"every row must have {self.cols} entries")
-        object.__setattr__(self, "flat", _signed_bytes(*rows))
+        if set(map(len, rows)) != {n // d}:
+            raise ValueError(f"every row must have {n // d} entries")
+        self.__dict__.update(n=n, r=r, flat=_signed_bytes(*rows))
 
     @property
     def d(self) -> int:

@@ -10,9 +10,9 @@ in the package is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from operator import attrgetter, index
 
 __all__ = [
     "NotInvertibleError",
@@ -51,24 +51,62 @@ def fold_mod(x: int, n: int) -> int:
     return 0 if x == mask else x
 
 
-@dataclass(frozen=True)
-class Residue:
+def _integer(name: str, value) -> int:
+    """value as a plain int; anything else raises ValueError naming it."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+class _Record:
+    """Immutable fields, named in the string _fields, with a frozen
+    dataclass's init, equality (same class only), hash and repr."""
+
+    _defaults: dict = {}  # field values when not given
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls._fields.split())
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields.split()
+        values = dict(self._defaults, **dict(zip(names, args)), **kwargs)
+        if len(args) > len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes {', '.join(names)}")
+        self.__dict__.update(values)
+
+    def __eq__(self, other) -> bool:
+        same = other.__class__ is self.__class__
+        return self._key(self) == self._key(other) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = (f"{k}={getattr(self, k)!r}" for k in self._fields.split())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Residue(_Record):
     """A canonical element of Z_{2^n - 1}: 0 <= value <= 2^n - 2."""
 
-    n: int
-    value: int
+    _fields = "n value"
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"ring parameter must be >= 2, got {self.n}")
-        if not 0 <= self.value <= (1 << self.n) - 2:
-            raise ValueError(
-                f"{self.value} is not canonical mod 2^{self.n} - 1"
-            )
+    def __init__(self, n: int, value: int) -> None:
+        n, value = _integer("n", n), _integer("value", value)
+        if n < 2:
+            raise ValueError(f"ring parameter must be >= 2, got {n}")
+        if not 0 <= value <= (1 << n) - 2:
+            raise ValueError(f"{value} is not canonical mod 2^{n} - 1")
+        self.__dict__.update(n=n, value=value)
 
 
-@dataclass(frozen=True)
-class BitSequence:
+class BitSequence(_Record):
     """Length-n cyclic binary word; index 0 is the least significant bit.
 
     word holds one byte, 0 or 1, per position (the constructor takes any
@@ -77,25 +115,24 @@ class BitSequence:
     2^n - 1, the class of 0, which only the all-zero word represents.
     """
 
-    n: int
-    word: bytes
+    _fields = "n word"
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"ring parameter must be >= 2, got {self.n}")
-        if len(self.word) != self.n:
-            raise ValueError(f"expected {self.n} bits, got {len(self.word)}")
+    def __init__(self, n: int, word: bytes) -> None:
+        if n < 2:
+            raise ValueError(f"ring parameter must be >= 2, got {n}")
+        if len(word) != n:
+            raise ValueError(f"expected {n} bits, got {len(word)}")
         try:  # ints in [0, 255] only, or a buffer's raw bytes (wider items)
-            word = bytes(self.word)
+            word = bytes(word)
         except (TypeError, ValueError):
             raise ValueError("bits must be 0 or 1") from None
-        if len(word) != self.n or word.translate(None, b"\x00\x01"):
+        if len(word) != n or word.translate(None, b"\x00\x01"):
             raise ValueError("bits must be 0 or 1")
         if 0 not in word:
             raise ValueError(
                 "all-ones word rejected: 2^n - 1 is the class of 0"
             )
-        object.__setattr__(self, "word", word)
+        self.__dict__.update(n=n, word=word)
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -223,8 +260,7 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class ExponentFamily:
+class ExponentFamily(_Record):
     """A named exponent family with its integer parameter.
 
     The parameter means: r for gold/kasami/bracken_leander/dobbertin,
@@ -232,16 +268,15 @@ class ExponentFamily:
     takes no parameter.
     """
 
-    kind: str
-    param: int = 0
+    _fields = "kind param"
 
-    def __post_init__(self) -> None:
-        if self.kind not in _FAMILIES:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind != "inverse" and self.param < 1:
-            raise ValueError(
-                f"{self.kind} needs a positive parameter, got {self.param}"
-            )
+    def __init__(self, kind: str, param: int = 0) -> None:
+        param = _integer("param", param)
+        if kind not in _FAMILIES:
+            raise ValueError(f"unknown family kind {kind!r}")
+        if kind != "inverse" and param < 1:
+            raise ValueError(f"{kind} needs a positive parameter, got {param}")
+        self.__dict__.update(kind=kind, param=param)
 
 
 def family_exponent(f: ExponentFamily, n: int) -> Residue:

@@ -16,14 +16,13 @@ call, so importing this module (and the package) does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import gcd
-from typing import TYPE_CHECKING
 
 from .residues import (
     ExponentFamily,
     Residue,
+    _Record,
     family_exponent,
     is_invertible,
 )
@@ -39,6 +38,7 @@ __all__ = [
     "catalog_lookup",
 ]
 
+TYPE_CHECKING = False  # type checkers read it as True; numpy stays unloaded
 if TYPE_CHECKING:
     import numpy as np
 
@@ -117,8 +117,7 @@ def smallest_irreducible(n: int) -> int:
     return cand
 
 
-@dataclass(frozen=True)
-class FieldContext:
+class FieldContext(_Record):
     """GF(2^n) in a polynomial basis with an explicit reduction polynomial.
 
     The default polynomial is the lexicographically smallest
@@ -127,23 +126,19 @@ class FieldContext:
     uniformities (the fields are isomorphic).
     """
 
-    n: int
-    reduction_polynomial: int = 0
+    _fields = "n reduction_polynomial"
 
-    def __post_init__(self) -> None:
-        if not 2 <= self.n <= MAX_FIELD_N:
+    def __init__(self, n: int, reduction_polynomial: int = 0) -> None:
+        if not 2 <= n <= MAX_FIELD_N:
             raise ValueError(
-                f"field analysis supports 2 <= n <= {MAX_FIELD_N}, got {self.n}"
+                f"field analysis supports 2 <= n <= {MAX_FIELD_N}, got {n}"
             )
-        if self.reduction_polynomial == 0:
-            object.__setattr__(
-                self, "reduction_polynomial", smallest_irreducible(self.n)
-            )
-        elif not is_irreducible(self.reduction_polynomial, self.n):
+        poly = reduction_polynomial or smallest_irreducible(n)
+        if reduction_polynomial and not is_irreducible(poly, n):
             raise ValueError(
-                f"0b{self.reduction_polynomial:b} is not a monic irreducible "
-                f"of degree {self.n}"
+                f"0b{poly:b} is not a monic irreducible of degree {n}"
             )
+        self.__dict__.update(n=n, reduction_polynomial=poly)
 
     @property
     def size(self) -> int:
@@ -274,8 +269,7 @@ def verify_compositional_inverse(l: int, l_inv: int, ctx: FieldContext) -> bool:
     return functional
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Record):
     """One instantiated row of the known-exponent tables.
 
     source_table 1 lists the known APN exponents on odd-degree fields
@@ -283,12 +277,8 @@ class CatalogEntry:
     4-uniform permutations on even-degree fields.
     """
 
-    family: ExponentFamily
-    exponent: Residue
-    claimed_degree: int
-    claimed_uniformity: int
-    source_table: int
-    invertible: bool
+    _fields = ("family exponent claimed_degree claimed_uniformity "
+               "source_table invertible")
 
 
 def _entry(

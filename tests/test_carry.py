@@ -184,6 +184,26 @@ def test_carry_sequence_reads_a_one_shot_word_once():
             assert got.carries == carries
 
 
+def test_carry_sequence_rejects_non_integer_carries():
+    # only integer carries beyond a signed byte are kept as a tuple, and
+    # those as plain ints; a float or any other object is refused
+    for word in (("a", None), (0.5, 1), (0.5, 300), (300, 1.0), [None, 0]):
+        with pytest.raises(ValueError, match="carries must be integers"):
+            CarrySequence(2, word)
+
+    class Carry:  # an integer type of its own, as numpy's are
+        def __init__(self, v):
+            self.v = v
+
+        def __index__(self):
+            return self.v
+
+    wide = CarrySequence(3, (Carry(0), Carry(300), Carry(-1)))
+    assert wide.word == (0, 300, -1) and wide.weight() == 299
+    assert all(type(c) is int for c in wide.word)
+    assert wide == CarrySequence(3, (0, 300, -1))
+
+
 def test_all_ones_sum_with_zero_s():
     # sum_j t_j rot_j(a) = q (2^n - 1) with q != 0: s = 0 holds, and the
     # seed identity must give c[n-1] = q rather than 0

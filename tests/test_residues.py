@@ -171,6 +171,31 @@ def test_family_validation():
         ExponentFamily("nonsense", 1)
 
 
+def test_fields_must_be_integers():
+    # a float is refused by the constructor, naming the field, instead of
+    # failing later in to_bits or family_exponent
+    for make, field in (
+        (lambda: Residue(7, 3.0), "value"),
+        (lambda: Residue(7.0, 3), "n"),
+        (lambda: Residue(7, "3"), "value"),
+        (lambda: ExponentFamily("gold", 2.5), "param"),
+        (lambda: ExponentFamily("inverse", 0.0), "param"),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            make()
+
+    class Index:  # an integer type of its own, as numpy's are
+        def __index__(self):
+            return 3
+
+    residue = Residue(7, Index())
+    assert type(residue.value) is int and residue == Residue(7, 3)
+    assert to_bits(residue).bits == (1, 1, 0, 0, 0, 0, 0)
+    family = ExponentFamily("gold", Index())
+    assert type(family.param) is int and family == ExponentFamily("gold", 3)
+    assert family_exponent(family, 7).value == 9
+
+
 def test_bit_sequence_contract():
     # every int sequence gives the same word: bytes in .word, tuple in .bits
     bits = (1, 0, 1, 1, 0)
