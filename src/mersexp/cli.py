@@ -62,28 +62,24 @@ MAX_CARRY_RANGE = 1 << 16
 MAX_CATALOG_N = 4096
 MAX_AUDIT_N = 256
 
-# the family names of the command line and the kinds they stand for
-_SHORTHANDS = {
-    "gold": "gold",
-    "kasami": "kasami",
-    "bl": "bracken_leander",
-    "raw": "raw",
+# the command line's families in help order: kind, least n, the (r, n)
+# its closed form covers and constructor (None for raw: extended Euclid);
+# each constructor looks its function up in this module when called, so
+# a wrapper bound to that name here is the one that runs
+_FAMILIES = {
+    "gold": ("gold", 2, gold_invertible, lambda r, n: gold_inverse(r, n)),
+    "kasami": (
+        "kasami", 4, kasami_invertible, lambda r, n: kasami_inverse(r, n)
+    ),
+    "bl": (
+        "bracken_leander",
+        4,
+        lambda r, n: n == 4 * r and r % 2 == 1,
+        lambda r, n: bl_inverse(r),
+    ),
+    "raw": ("raw", None, None, None),
 }
-
-# closed-form constructors by family kind; each name is looked up in this
-# module when called, so a wrapper bound to it here is the one that runs
-_CONSTRUCTORS = {
-    "gold": lambda r, n: gold_inverse(r, n),
-    "kasami": lambda r, n: kasami_inverse(r, n),
-    "bracken_leander": lambda r, n: bl_inverse(r),
-}
-
-# the audited families: shorthand, least n, the (r, n) with a closed form
-_AUDITED = (
-    ("gold", 2, gold_invertible),
-    ("kasami", 4, kasami_invertible),
-    ("bl", 4, lambda r, n: n == 4 * r and r % 2 == 1),
-)
+_CONSTRUCTORS = {kind: make for kind, _, _, make in _FAMILIES.values() if make}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,7 +145,7 @@ def _parse_l_spec(
     and a term list with t_+ - t_- above MAX_CARRY_RANGE before any form.
     """
     spec = spec.strip().lower()
-    for prefix, kind in _SHORTHANDS.items():
+    for prefix, (kind, *_) in _FAMILIES.items():
         if spec.startswith(prefix) and spec[len(prefix) :].isdigit():
             param = int(spec[len(prefix) :])
             if kind != "raw":  # raw's parameter is l itself, not an exponent
@@ -186,14 +182,15 @@ def run_audit(n_min: int, n_max: int) -> dict[str, object]:
     """
     checked = 0
     failures: list[dict[str, object]] = []
-    for family, n_least, has_closed_form in _AUDITED:
-        kind = _SHORTHANDS[family]
+    for family, (kind, n_least, has_closed_form, make) in _FAMILIES.items():
+        if make is None:
+            continue
         for n in range(max(n_least, n_min), n_max + 1):
             for r in range(1, n):
                 if not has_closed_form(r, n):
                     continue
                 checked += 1
-                result = _CONSTRUCTORS[kind](r, n)
+                result = make(r, n)
                 exponent = family_exponent(ExponentFamily(kind, r), n).value
                 inverse = ext_euclid_inverse(exponent, n).value
                 for what, got, expected in (
@@ -221,8 +218,8 @@ def run_audit(n_min: int, n_max: int) -> dict[str, object]:
 
 def _cmd_inverse(args: argparse.Namespace) -> dict[str, object]:
     family = args.family
-    kind = _SHORTHANDS[family]
-    if kind == "raw":
+    kind, _, _, make = _FAMILIES[family]
+    if make is None:
         if args.l is None:
             raise ValueError("raw needs --l")
         if args.n is None:
@@ -249,7 +246,7 @@ def _cmd_inverse(args: argparse.Namespace) -> dict[str, object]:
     elif n is None:
         raise ValueError(f"{family} needs --n")
     _check_limit(n, MAX_RING_N, "ring-size")
-    res = _CONSTRUCTORS[kind](args.r, n)
+    res = make(args.r, n)
     result = {
         "inverse": _residue_doc(res.inverse.value, n),
         "weight": res.weight,
@@ -440,24 +437,24 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_inv = sub.add_parser(
-        "inverse",
-        parents=[common],
-        help="closed-form inverse of a family exponent",
+    def command(name, func, help):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p_inv = command(
+        "inverse", _cmd_inverse, "closed-form inverse of a family exponent"
     )
     p_inv.add_argument(
-        "family", choices=tuple(_SHORTHANDS),
+        "family", choices=tuple(_FAMILIES),
         help="exponent family; raw uses the extended-Euclid oracle",
     )
     p_inv.add_argument("--r", type=_int_arg, help="family parameter r")
     p_inv.add_argument("--l", type=_int_arg, help="raw exponent (family raw)")
     p_inv.add_argument("--n", type=_int_arg, help="ring parameter n")
-    p_inv.set_defaults(func=_cmd_inverse)
 
-    p_carry = sub.add_parser(
-        "carry",
-        parents=[common],
-        help="solve the add-with-carry recurrence for s = l*a",
+    p_carry = command(
+        "carry", _cmd_carry, "solve the add-with-carry recurrence for s = l*a"
     )
     p_carry.add_argument(
         "l_spec",
@@ -466,33 +463,25 @@ def _build_parser() -> _Parser:
     p_carry.add_argument("--a", type=_int_arg, required=True)
     p_carry.add_argument("--s", type=_int_arg, required=True)
     p_carry.add_argument("--n", type=_int_arg, required=True)
-    p_carry.set_defaults(func=_cmd_carry)
 
-    p_audit = sub.add_parser(
-        "audit",
-        parents=[common],
-        help="sweep closed forms against the inversion oracle",
+    p_audit = command(
+        "audit", _cmd_audit, "sweep closed forms against the inversion oracle"
     )
     p_audit.add_argument("--n-min", type=_int_arg, required=True)
     p_audit.add_argument("--n-max", type=_int_arg, required=True)
-    p_audit.set_defaults(func=_cmd_audit)
 
-    p_an = sub.add_parser(
+    p_an = command(
         "analyze",
-        parents=[common],
-        help="differential uniformity and degree of x^l on GF(2^n)",
+        _cmd_analyze,
+        "differential uniformity and degree of x^l on GF(2^n)",
     )
     p_an.add_argument("--l", type=_int_arg, required=True)
     p_an.add_argument("--n", type=_int_arg, required=True)
-    p_an.set_defaults(func=_cmd_analyze)
 
-    p_cat = sub.add_parser(
-        "catalog",
-        parents=[common],
-        help="known-exponent table rows instantiated at n",
+    p_cat = command(
+        "catalog", _cmd_catalog, "known-exponent table rows instantiated at n"
     )
     p_cat.add_argument("--n", type=_int_arg, required=True)
-    p_cat.set_defaults(func=_cmd_catalog)
     return parser
 
 

@@ -468,11 +468,8 @@ def kasami_degree_bounds(r: int, n: int) -> tuple[int, int, bool]:
     r = _kasami_r(r, n, [])
     d = gcd(r, n)
     m = n // d
-    if m % 2 == 0:
-        w = (n + 2) // 2
-        return w, w, False
-    if m % 3 == 0:
-        w = (n - 3 * d + 4) // 2
+    if m % 2 == 0 or m % 3 == 0:
+        w = _kasami_closed_form(r, n)[2]
         return w, w, False
     e = e_value(r, n)
     e_odd = e if e % 2 == 1 else m - e

@@ -66,12 +66,14 @@ class _Record:
     _defaults: dict = {}  # field values when not given
 
     def __init_subclass__(cls) -> None:
-        cls._key = attrgetter(*cls._fields.split())
+        cls._names = tuple(cls._fields.split())
+        cls._name_set = frozenset(cls._names)
+        cls._key = attrgetter(*cls._names)
 
     def __init__(self, *args, **kwargs) -> None:
-        names = self._fields.split()
+        names = self._names
         values = dict(self._defaults, **dict(zip(names, args)), **kwargs)
-        if len(args) > len(names) or values.keys() != set(names):
+        if len(args) > len(names) or values.keys() != self._name_set:
             raise TypeError(f"{type(self).__name__} takes {', '.join(names)}")
         self.__dict__.update(values)
 
@@ -83,7 +85,7 @@ class _Record:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = (f"{k}={getattr(self, k)!r}" for k in self._fields.split())
+        fields = (f"{k}={getattr(self, k)!r}" for k in self._names)
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
     def __setattr__(self, name: str, value=None) -> None:

@@ -299,42 +299,29 @@ def _entry(
 def catalog_lookup(n: int) -> list[CatalogEntry]:
     """Instantiate every known-exponent table row applicable at this n.
 
-    Odd n = 2t + 1 draws from the APN table (gold and kasami with
-    gcd(r, n) = 1 and r < n/2, welch, niho, the inverse exponent,
-    dobbertin when 5 | n); even n = 2t draws from the 4-uniform table
-    (gold and kasami with gcd(r, n) = 2 and t odd, the inverse
-    exponent, bracken-leander when n = 4r with r odd).
+    Odd n = 2t + 1 draws from the APN table (table 1), even n = 2t from
+    the 4-uniform table (table 2, gold and kasami only when t is odd).
+    Gold and kasami (r >= 2) rows take r < n/2 with gcd(r, n) = table;
+    welch, niho and dobbertin (5 | n) are APN, bracken-leander (n = 4r,
+    r odd) is 4-uniform, and both tables hold the inverse exponent.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    t = n // 2
+    table = 2 - n % 2
     entries: list[CatalogEntry] = []
-    if n % 2 == 1:
-        t = n // 2
-        for r in range(1, t + 1):
-            if gcd(r, n) == 1:
-                entries.append(_entry("gold", r, n, 2, 1))
-        for r in range(2, t + 1):
-            if gcd(r, n) == 1:
-                entries.append(_entry("kasami", r, n, r + 1, 1))
-        if t >= 1:
-            # 2^t + 3 has weight 3, except 5 = 0b101 at t = 1
-            welch_degree = 3 if t >= 2 else 2
-            entries.append(_entry("welch", t, n, welch_degree, 1))
-            niho_degree = (t + 2) // 2 if t % 2 == 0 else t + 1
-            entries.append(_entry("niho", t, n, niho_degree, 1))
-        entries.append(_entry("inverse", 0, n, n - 1, 1))
-        if n % 5 == 0:
-            entries.append(_entry("dobbertin", n // 5, n, n // 5 + 3, 1))
-    else:
-        t = n // 2
-        if t % 2 == 1:
-            for r in range(1, t):
-                if gcd(r, n) == 2:
-                    entries.append(_entry("gold", r, n, 2, 2))
-            for r in range(2, t):
-                if gcd(r, n) == 2:
-                    entries.append(_entry("kasami", r, n, r + 1, 2))
-        entries.append(_entry("inverse", 0, n, n - 1, 2))
-        if n % 4 == 0 and (n // 4) % 2 == 1:
-            entries.append(_entry("bracken_leander", n // 4, n, 3, 2))
+    if table == 1 or t % 2 == 1:
+        rs = [r for r in range(1, (n + 1) // 2) if gcd(r, n) == table]
+        entries += [_entry("gold", r, n, 2, table) for r in rs]
+        entries += [_entry("kasami", r, n, r + 1, table) for r in rs if r >= 2]
+    if table == 1:
+        # 2^t + 3 has weight 3, except 5 = 0b101 at t = 1
+        entries.append(_entry("welch", t, n, 3 if t >= 2 else 2, 1))
+        niho_degree = (t + 2) // 2 if t % 2 == 0 else t + 1
+        entries.append(_entry("niho", t, n, niho_degree, 1))
+    entries.append(_entry("inverse", 0, n, n - 1, table))
+    if table == 1 and n % 5 == 0:
+        entries.append(_entry("dobbertin", n // 5, n, n // 5 + 3, 1))
+    if n % 4 == 0 and (n // 4) % 2 == 1:
+        entries.append(_entry("bracken_leander", n // 4, n, 3, 2))
     return entries

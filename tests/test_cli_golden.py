@@ -32,7 +32,8 @@ _KASAMI_LABELS = (
 
 def corpus() -> list[list[str]]:
     """The recorded commands: every subcommand, both formats, --quiet,
-    held, refuted and invalid inputs, and catalog for every n <= 40."""
+    held, refuted and invalid inputs, catalog for every n <= 40, and the
+    help of the program and of each subcommand."""
     j = ["--format", "json"]
     cmds: list[list[str]] = []
     for i, (r, n) in enumerate(_KASAMI_LABELS):
@@ -125,6 +126,10 @@ def corpus() -> list[list[str]]:
     ]
     cmds += [[*j, "catalog", "--n", str(n)] for n in range(1, 41)]
     cmds += [["catalog", "--n", str(n)] for n in (3, 7, 12, 20, 33)]
+    cmds += [["--help"]] + [
+        [command, "--help"]
+        for command in ("inverse", "carry", "audit", "analyze", "catalog")
+    ]
     return cmds
 
 

@@ -307,7 +307,7 @@ def test_degree_bounds_refuse_small_rings(n):
 
 
 def test_degree_bounds_bracket_actual_weight():
-    for n in range(4, 129):
+    for n in range(2, 129):
         for r in range(1, n):
             if not kasami_invertible(r, n):
                 continue

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import numpy as np
 import pytest
@@ -189,6 +190,45 @@ def test_catalog_claimed_degree_is_exponent_weight():
     # welch(1) at n = 3 is 2 + 3 = 5 = 0b101: degree 2, not 3
     (welch,) = [e for e in catalog_lookup(3) if e.family.kind == "welch"]
     assert (welch.exponent.value, welch.claimed_degree) == (5, 2)
+
+
+def _table_rows(n):
+    """(kind, param, claimed degree, table) of every row at n, in order,
+    written out from the two tables: the APN exponents for odd n = 2t + 1
+    and the exponents of 4-uniform permutations for even n = 2t."""
+    t = n // 2
+    if n % 2 == 1:
+        coprime = [r for r in range(1, t + 1) if gcd(r, n) == 1]
+        rows = [("gold", r, 2, 1) for r in coprime]
+        rows += [("kasami", r, r + 1, 1) for r in coprime if r >= 2]
+        rows.append(("welch", t, 3 if t >= 2 else 2, 1))
+        rows.append(("niho", t, t // 2 + 1 if t % 2 == 0 else t + 1, 1))
+        rows.append(("inverse", 0, n - 1, 1))
+        if n % 5 == 0:
+            rows.append(("dobbertin", n // 5, n // 5 + 3, 1))
+        return rows
+    rows = []
+    if t % 2 == 1:
+        pairs = [r for r in range(1, t) if gcd(r, n) == 2]
+        rows += [("gold", r, 2, 2) for r in pairs]
+        rows += [("kasami", r, r + 1, 2) for r in pairs if r >= 2]
+    rows.append(("inverse", 0, n - 1, 2))
+    if n % 4 == 0 and (n // 4) % 2 == 1:
+        rows.append(("bracken_leander", n // 4, 3, 2))
+    return rows
+
+
+def test_catalog_rows_match_the_tables_to_256():
+    for n in range(2, 257):
+        entries = catalog_lookup(n)
+        got = [
+            (e.family.kind, e.family.param, e.claimed_degree, e.source_table)
+            for e in entries
+        ]
+        assert got == _table_rows(n), n
+        for e in entries:
+            assert e.claimed_uniformity == 2 * e.source_table
+            assert e.invertible == (gcd(e.exponent.value, (1 << n) - 1) == 1)
 
 
 def test_apn_invariance_of_closed_form_inverses():
