@@ -2,22 +2,27 @@
 
 GF(2^n) elements are n-bit integers in a polynomial basis.  Evaluation
 of x -> x^l over the whole field goes through discrete-log tables built
-once per field context, so the differential-uniformity scan is a flat
-pass of xor/bincount work per input difference.  The exp table is built
-by doubling: each step is one product by a field constant, a linear map.
+once per field context.  The exp table is built by doubling: each step
+is one product by a field constant, a linear map.  The uniformity scan
+counts the values of D_1 F only, which fixes every D_a F of a power map.
 
 Field analysis is capped at n <= MAX_FIELD_N = 24: memory and time are
-O(2^n) per table and O(4^n) for a full uniformity scan.  The default
-reduction polynomial of each degree is found by search, not stored.
+O(2^n).  The default reduction polynomial of each degree is found by
+search, not stored.
 
-numpy is imported by the functions that scan the field, on their first
-call, so importing this module (and the package) does not load it.
+Up to n = _LIST_MAX_N = 16 the tables and scans are plain Python lists;
+above it they are numpy uint32 arrays, and numpy is imported on the
+first such call, so importing this module (and the package) does not
+load it.  power_map returns an array('I') at every n.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from functools import cache
 from math import gcd
+from operator import xor
 
 from .residues import (
     ExponentFamily,
@@ -43,6 +48,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 MAX_FIELD_N = 24
+# Tables and scans on plain lists up to here, numpy above.  One
+# `analyze` call at n = 16 takes less time and memory on lists than on
+# numpy, its import included; at n = 17 they are even, above numpy wins.
+_LIST_MAX_N = 16
 
 
 def _gf2_mulmod(a: int, b: int, poly: int, n: int) -> int:
@@ -170,82 +179,105 @@ def _gf2_powmod(a: int, k: int, poly: int, n: int) -> int:
     return res
 
 
-def _mul_const(v: np.ndarray, c: int, poly: int, n: int) -> np.ndarray:
-    """Elementwise GF(2^n) product c*v of an int64 array of field elements.
+def _mul_const(v: list[int] | np.ndarray, c: int, poly: int, n: int):
+    """Elementwise GF(2^n) product c*v of field elements, in v's own type.
 
     v -> c*v is GF(2)-linear: c*v = lo[v & mask] ^ hi[v >> n//2], where lo
     and hi (at most 4,096 entries) xor the images c*2^b of each bit subset.
+    v is a list, or a numpy uint32 array for fields above _LIST_MAX_N.
     """
-    import numpy as np
-
     h = n // 2
-    lo, hi = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    lo, hi = [0], [0]
     for b in range(n):
         image = _gf2_mulmod(c, 1 << b, poly, n)
         if b < h:
-            lo = np.concatenate([lo, lo ^ image])
+            lo += [x ^ image for x in lo]
         else:
-            hi = np.concatenate([hi, hi ^ image])
-    out = lo[v & ((1 << h) - 1)]
+            hi += [x ^ image for x in hi]
+    mask = (1 << h) - 1
+    if isinstance(v, list):
+        return [lo[x & mask] ^ hi[x >> h] for x in v]
+    import numpy as np
+
+    lo, hi = np.array(lo, dtype=np.uint32), np.array(hi, dtype=np.uint32)
+    out = lo[v & mask]
     out ^= hi[v >> h]  # in place: the log scatter stays the build's peak
     return out
 
 
 @cache
-def _tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
+def _tables(
+    ctx: FieldContext,
+) -> tuple[list[int], list[int]] | tuple[np.ndarray, np.ndarray]:
     """exp/log tables of the field; shared by every caller, never written.
 
     exp[i] = g^i for a generator g, by doubling from exp[0] = 1:
-    exp[k : 2k] = g^k * exp[:k], then g^k is squared; log inverts exp.
+    exp[k : 2k] = g^k * exp[:k], then g^k is squared; log inverts exp
+    (log[0] is never consulted).  Lists up to _LIST_MAX_N, numpy uint32
+    arrays above it.
     """
-    import numpy as np
-
     poly, n, order = ctx.reduction_polynomial, ctx.n, ctx.order
-    exp = np.empty(order, dtype=np.int64)
-    exp[0] = 1
+    if n <= _LIST_MAX_N:
+        exp = [1] * order
+    else:
+        import numpy as np
+
+        exp = np.ones(order, dtype=np.uint32)
     size, step = 1, _find_generator(ctx)  # step = g^size
     while size < order:
         cnt = min(size, order - size)
         exp[size : size + cnt] = _mul_const(exp[:cnt], step, poly, n)
         size += cnt
         step = _gf2_mulmod(step, step, poly, n)
-    log = np.empty(ctx.size, dtype=np.int64)
-    log[0] = -1  # never consulted; x = 0 is special-cased
-    log[exp] = np.arange(order, dtype=np.int64)
+    if n <= _LIST_MAX_N:
+        log = [0] * ctx.size
+        for i, x in enumerate(exp):
+            log[x] = i
+    else:
+        log = np.zeros(ctx.size, dtype=np.uint32)
+        log[exp] = np.arange(order, dtype=np.uint32)
     return exp, log
 
 
-def power_map(l: int, ctx: FieldContext) -> np.ndarray:
-    """Full-domain table of x -> x^l over GF(2^n); entry 0 is 0."""
-    import numpy as np
+def power_map(l: int, ctx: FieldContext) -> array:
+    """Full-domain table of x -> x^l over GF(2^n); entry 0 is 0.
 
+    An array('I') at every n; np.frombuffer(t, dtype=np.uint32) reads
+    it without a copy.
+    """
     if l < 1:
         raise ValueError(f"exponent must be positive, got {l}")
     exp, log = _tables(ctx)
-    lmod = l % ctx.order
-    out = np.empty(ctx.size, dtype=np.int64)
-    out[0] = 0
-    out[1:] = exp[(log[1:] * lmod) % ctx.order]
+    lmod, order = l % ctx.order, ctx.order
+    if ctx.n <= _LIST_MAX_N:
+        return array("I", [0, *[exp[i * lmod % order] for i in log[1:]]])
+    import numpy as np
+
+    index = np.multiply(log[1:], lmod, dtype=np.uint64)
+    index %= order
+    out = array("I", [0]) * ctx.size
+    np.frombuffer(out, dtype=np.uint32)[1:] = exp[index]
     return out
 
 
 def differential_uniformity(l: int, ctx: FieldContext) -> int:
     """max over a != 0, b of #{x : x^l + (x+a)^l = b} over GF(2^n).
 
-    Always even and at least 2 (x and x + a produce the same output
-    difference).
+    Only a = 1 is scanned: for F(x) = x^l, D_a F(x) = a^l * D_1 F(x/a)
+    (Blondeau, Canteaut and Charpin, 2010), so every a != 0 has the
+    same counts.  D_1 F takes one value on each pair {2i, 2i + 1}, so
+    the answer is twice the largest count over the pairs; always even
+    and at least 2.
     """
     if not 1 <= l <= ctx.order:
         raise ValueError(f"exponent must be in [1, 2^n - 1], got {l}")
+    table = power_map(l, ctx)
+    if ctx.n <= _LIST_MAX_N:
+        return 2 * max(Counter(map(xor, table[::2], table[1::2])).values())
     import numpy as np
 
-    table = power_map(l, ctx)
-    xs = np.arange(ctx.size)
-    best = 0
-    for a in range(1, ctx.size):
-        diffs = table ^ table[xs ^ a]
-        best = max(best, int(np.bincount(diffs, minlength=ctx.size).max()))
-    return best
+    table = np.frombuffer(table, dtype=np.uint32)
+    return 2 * int(np.bincount(table[::2] ^ table[1::2]).max())
 
 
 def verify_compositional_inverse(l: int, l_inv: int, ctx: FieldContext) -> bool:
@@ -254,13 +286,17 @@ def verify_compositional_inverse(l: int, l_inv: int, ctx: FieldContext) -> bool:
     Checked both functionally over the field and as l * l_inv = 1 mod
     2^n - 1; the two views must agree.
     """
-    import numpy as np
-
     if l < 1 or l_inv < 1:
         raise ValueError("exponents must be positive")
     modular = (l * l_inv) % ctx.order == 1
-    composed = power_map(l_inv, ctx)[power_map(l, ctx)]
-    functional = bool(np.array_equal(composed, np.arange(ctx.size)))
+    inv, fwd = power_map(l_inv, ctx), power_map(l, ctx)
+    if ctx.n <= _LIST_MAX_N:
+        functional = list(map(inv.__getitem__, fwd)) == list(range(ctx.size))
+    else:
+        import numpy as np
+
+        inv, fwd = (np.frombuffer(t, dtype=np.uint32) for t in (inv, fwd))
+        functional = bool(np.array_equal(inv[fwd], np.arange(ctx.size)))
     if modular != functional:
         raise RuntimeError(
             "field evaluation disagrees with modular arithmetic; "

@@ -1,4 +1,5 @@
-"""numpy is loaded by the GF(2^n) scans only, never by the package import.
+"""numpy is loaded by the GF(2^n) scans above n = 16 only, never by the
+package import.
 
 Each check runs in a fresh interpreter, since this test process has
 numpy loaded already.
@@ -67,14 +68,38 @@ def test_refused_analyze_leaves_numpy_unloaded():
     assert proc.stderr.strip().endswith("numpy loaded: False")
 
 
-def test_analyze_loads_numpy_and_keeps_its_output():
-    proc = python(CLI, "--format", "json", "analyze", "--l", "57", "--n", "7")
+def _analyze_57(n):
+    argv = ["--format", "json", "analyze", "--l", "57", "--n", str(n)]
+    proc = python(CLI, *argv)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip().endswith("numpy loaded: True")
-    assert json.loads(proc.stdout)["result"] == {
+    return proc.stderr.strip(), json.loads(proc.stdout)["result"]
+
+
+@pytest.mark.parametrize(
+    "n, invertible, dec, bits",
+    [(7, True, 23, "0b0010111"), (16, False, 57, "0b0000000000111001")],
+)
+def test_analyze_to_n16_runs_without_numpy(n, invertible, dec, bits):
+    # fields up to sbox._LIST_MAX_N = 16 are scanned on plain lists
+    stderr, result = _analyze_57(n)
+    assert stderr.endswith("numpy loaded: False")
+    assert result == {
+        "uniformity": 2,
+        "apn": True,
+        "degree": 4,
+        "invertible": invertible,
+        "canonical": {"dec": dec, "bits": bits},
+    }
+
+
+def test_analyze_loads_numpy_and_keeps_its_output():
+    # above n = 16 the tables and the scan are numpy arrays
+    stderr, result = _analyze_57(17)
+    assert stderr.endswith("numpy loaded: True")
+    assert result == {
         "uniformity": 2,
         "apn": True,
         "degree": 4,
         "invertible": True,
-        "canonical": {"dec": 23, "bits": "0b0010111"},
+        "canonical": {"dec": 57, "bits": "0b00000000000111001"},
     }

@@ -12,12 +12,14 @@ from mersexp import (
     kasami_inverse,
     verify_compositional_inverse,
 )
+from mersexp import sbox
 from mersexp.sbox import (
     MAX_FIELD_N,
     is_irreducible,
     power_map,
     smallest_irreducible,
 )
+from uniformity_oracle import full_scan
 
 
 def test_uniformity_examples():
@@ -54,12 +56,56 @@ def test_power_map_basics():
 def test_counting_symmetry_and_evenness():
     ctx = FieldContext(5)
     for l in (3, 7, 13, 15, 29):
-        table = power_map(l, ctx)
+        table = np.frombuffer(power_map(l, ctx), dtype=np.uint32)
         xs = np.arange(ctx.size)
         for a in range(1, ctx.size):
             counts = np.bincount(table ^ table[xs ^ a], minlength=ctx.size)
             assert counts.sum() == ctx.size
             assert (counts % 2 == 0).all()
+
+
+def test_a1_scan_matches_the_full_a_scan_to_n8():
+    for n in range(2, 9):
+        ctx = FieldContext(n)
+        for l in range(1, ctx.size):
+            assert differential_uniformity(l, ctx) == full_scan(
+                np.frombuffer(power_map(l, ctx), dtype=np.uint32)
+            ), (n, l)
+
+
+def _field_results(n, rng):
+    """power_map, uniformity and both inverse checks of a spread of
+    exponents at n: all of them up to n = 8, 40 at random above."""
+    ctx = FieldContext(n)
+    ls = range(1, ctx.size)
+    if n > 8:
+        rows = [e.exponent.value for e in catalog_lookup(n)]
+        ls = sorted(rng.sample(ls, 40) + rows)
+    out = []
+    for l in ls:
+        l_inv = pow(l, -1, ctx.order) if gcd(l, ctx.order) == 1 else l
+        out.append((
+            power_map(l, ctx),
+            differential_uniformity(l, ctx),
+            verify_compositional_inverse(l, l_inv, ctx),
+            verify_compositional_inverse(l, l, ctx),
+        ))
+    return out
+
+
+def test_numpy_path_agrees_with_the_list_path(monkeypatch):
+    # fields above sbox._LIST_MAX_N use numpy tables and scans; force
+    # that path at n <= 12 and compare it with the list path there
+    fields = range(2, 13)
+    lists = {n: _field_results(n, random.Random(n)) for n in fields}
+    sbox._tables.cache_clear()
+    monkeypatch.setattr(sbox, "_LIST_MAX_N", 1)
+    try:
+        for n in fields:
+            assert isinstance(sbox._tables(FieldContext(n))[0], np.ndarray)
+            assert _field_results(n, random.Random(n)) == lists[n], n
+    finally:
+        sbox._tables.cache_clear()
 
 
 def test_irreducible_table_entries_are_minimal():
@@ -170,7 +216,8 @@ def test_catalog_n2_trivial():
 
 
 def test_catalog_claims_hold_empirically_small_n():
-    for n in range(2, 13):
+    # n = 2 .. 20 crosses from the list scans (n <= 16) to numpy's
+    for n in range(2, 21):
         ctx = FieldContext(n)
         for e in catalog_lookup(n):
             assert (
