@@ -5,6 +5,11 @@ of x -> x^l over the whole field goes through discrete-log tables built
 once per field context.  The exp table is built by doubling: each step
 is one product by a field constant, a linear map.  The uniformity scan
 counts the values of D_1 F only, which fixes every D_a F of a power map.
+Up to n = _LIST_MAX_N it counts them over the Frobenius orbits x -> x^2,
+one leader per orbit: D_1 F(x^2) = D_1 F(x)^2, so an orbit's images
+fill one orbit, each equally often.  That is O(2^n/n) per exponent,
+after an O(2^n) orbit table built on a field's first scan; above
+_LIST_MAX_N the scan counts over every x, in O(2^n).
 
 Field analysis is capped at n <= MAX_FIELD_N = 24: memory and time are
 O(2^n).  The default reduction polynomial of each degree is found by
@@ -21,8 +26,9 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from functools import cache
+from itertools import chain
 from math import gcd
-from operator import xor
+from operator import floordiv, xor
 
 from .residues import (
     ExponentFamily,
@@ -52,6 +58,10 @@ MAX_FIELD_N = 24
 # `analyze` call at n = 16 takes less time and memory on lists than on
 # numpy, its import included; at n = 17 they are even, above numpy wins.
 _LIST_MAX_N = 16
+# power_map's numpy gather works on this many entries at a time, so its
+# uint64 index stays at 512 KB whatever n is; larger chunks leave their
+# freed index on the heap, which then stays in RSS.
+_CHUNK = 1 << 16
 
 
 def _gf2_mulmod(a: int, b: int, poly: int, n: int) -> int:
@@ -253,11 +263,58 @@ def power_map(l: int, ctx: FieldContext) -> array:
         return array("I", [0, *[exp[i * lmod % order] for i in log[1:]]])
     import numpy as np
 
-    index = np.multiply(log[1:], lmod, dtype=np.uint64)
-    index %= order
     out = array("I", [0]) * ctx.size
-    np.frombuffer(out, dtype=np.uint32)[1:] = exp[index]
+    view = np.frombuffer(out, dtype=np.uint32)
+    for lo in range(1, ctx.size, _CHUNK):
+        hi = min(lo + _CHUNK, ctx.size)
+        index = np.multiply(log[lo:hi], lmod, dtype=np.uint64)
+        index %= order
+        # every index is below order; "clip" lets take write straight
+        # into out, where the default "raise" first buffers the chunk
+        np.take(exp, index, out=view[lo:hi], mode="clip")
     return out
+
+
+@cache
+def _orbits(
+    ctx: FieldContext,
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Frobenius orbits of GF(2^n) for the list-path uniformity scan;
+    cached like _tables, shared by every caller and never written.
+
+    x -> x^2 is g^i -> g^(2i mod 2^n - 1), so the orbit of g^i is the
+    cyclotomic class of i.  Returns (lead, zech, key, size):
+    - lead[k] is i for the leader g^i of orbit k, over the orbits of the
+      nonzero elements but {1};
+    - zech[k] = log(g^lead[k] + 1);
+    - key[y] numbers the orbit of each field element y: 0 for y = 0, 1
+      for y = 1, k + 2 for orbit k;
+    - size[c] is the size of orbit key c for the short keys, those below
+      len(size).  Orbits of fewer than n elements lie in the proper
+      subfields, which are walked first, so they take the low keys; the
+      keys from len(size) on are orbits of exactly n elements.
+    """
+    exp, log = _tables(ctx)
+    n, order = ctx.n, ctx.order
+    key = [0] * ctx.size
+    key[1] = 1
+    lead, size = [], [1, 1]
+    subfields = [
+        range(step, order, step)
+        for step in (order // ((1 << n // p) - 1) for p in _prime_factors(n))
+    ]
+    for i in chain(*subfields, range(1, order)):
+        if key[exp[i]]:
+            continue
+        c, j, s = len(lead) + 2, i, 0
+        while key[exp[j]] != c:
+            key[exp[j]] = c
+            j = (j << 1) % order
+            s += 1
+        lead.append(i)
+        if s < n:
+            size.append(s)
+    return lead, [log[exp[i] ^ 1] for i in lead], key, size
 
 
 def differential_uniformity(l: int, ctx: FieldContext) -> int:
@@ -265,18 +322,40 @@ def differential_uniformity(l: int, ctx: FieldContext) -> int:
 
     Only a = 1 is scanned: for F(x) = x^l, D_a F(x) = a^l * D_1 F(x/a)
     (Blondeau, Canteaut and Charpin, 2010), so every a != 0 has the
-    same counts.  D_1 F takes one value on each pair {2i, 2i + 1}, so
-    the answer is twice the largest count over the pairs; always even
-    and at least 2.
+    same counts.  Always even and at least 2.
+
+    Up to n = _LIST_MAX_N the scan visits one leader x per Frobenius
+    orbit O (see _orbits).  D(x) = x^l + (x+1)^l has D(x^2) = D(x)^2,
+    so O maps onto the orbit of D(x), of size k dividing |O|, hitting
+    each element |O|/k times: the count of b is W/k, with W the sum of
+    |O| over the leaders whose D lies in b's orbit.  x = 0 and x = 1
+    both give D = 1.  That is O(2^n/n) per exponent, after the O(2^n)
+    orbit table of the field's first call.  Above _LIST_MAX_N numpy
+    counts D over the pairs {2i, 2i + 1} of the power-map table, in
+    O(2^n), and doubles the largest count.
     """
     if not 1 <= l <= ctx.order:
         raise ValueError(f"exponent must be in [1, 2^n - 1], got {l}")
-    table = power_map(l, ctx)
     if ctx.n <= _LIST_MAX_N:
-        return 2 * max(Counter(map(xor, table[::2], table[1::2])).values())
+        exp, _ = _tables(ctx)
+        lead, zech, key, size = _orbits(ctx)
+        n, order = ctx.n, ctx.order
+        m = l % order
+        d = map(xor, [exp[i * m % order] for i in lead],
+                [exp[z * m % order] for z in zech])
+        keys = list(map(key.__getitem__, d))
+        count = Counter(keys)
+        # An orbit of n elements is hit only by orbits of n elements, so
+        # its count is the leaders' count.  The short orbits weigh each
+        # leader by its orbit's size; short leaders come first in keys.
+        weight = [n * count[c] for c in range(len(size))]
+        weight[1] += 2  # x = 0 and x = 1
+        for c, s in zip(keys, size[2:]):
+            weight[c] -= n - s
+        return max(max(count.values()), *map(floordiv, weight, size))
     import numpy as np
 
-    table = np.frombuffer(table, dtype=np.uint32)
+    table = np.frombuffer(power_map(l, ctx), dtype=np.uint32)
     return 2 * int(np.bincount(table[::2] ^ table[1::2]).max())
 
 
@@ -296,7 +375,9 @@ def verify_compositional_inverse(l: int, l_inv: int, ctx: FieldContext) -> bool:
         import numpy as np
 
         inv, fwd = (np.frombuffer(t, dtype=np.uint32) for t in (inv, fwd))
-        functional = bool(np.array_equal(inv[fwd], np.arange(ctx.size)))
+        functional = bool(np.array_equal(
+            inv[fwd], np.arange(ctx.size, dtype=np.uint32)
+        ))
     if modular != functional:
         raise RuntimeError(
             "field evaluation disagrees with modular arithmetic; "

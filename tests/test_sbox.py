@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import gcd
 
 import numpy as np
@@ -19,7 +20,7 @@ from mersexp.sbox import (
     power_map,
     smallest_irreducible,
 )
-from uniformity_oracle import full_scan
+from uniformity_oracle import full_scan, pair_scan
 
 
 def test_uniformity_examples():
@@ -73,6 +74,57 @@ def test_a1_scan_matches_the_full_a_scan_to_n8():
             ), (n, l)
 
 
+def test_orbit_scan_matches_the_pair_scan_9_to_16():
+    # every catalog row, three random exponents and three sharing a factor
+    # with 2^n - 1, so that D(x) = 0 occurs (2^13 - 1 is prime: only
+    # l = 2^13 - 1 shares one)
+    rng = random.Random(916)
+    for n in range(9, 17):
+        ctx = FieldContext(n)
+        shared = [l for l in range(1, ctx.size) if gcd(l, ctx.order) > 1]
+        ls = {e.exponent.value for e in catalog_lookup(n)}
+        ls |= {rng.randrange(1, ctx.size) for _ in range(3)}
+        ls |= set(rng.sample(shared, min(3, len(shared))))
+        for l in sorted(ls):
+            table = power_map(l, ctx)
+            assert differential_uniformity(l, ctx) == pair_scan(table), (n, l)
+
+
+def _mobius(m):
+    out = 1
+    for p in range(2, m + 1):
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            out = -out
+    return out
+
+
+def test_frobenius_orbits_2_to_16():
+    for n in range(2, 17):
+        ctx = FieldContext(n)
+        exp, _ = sbox._tables(ctx)
+        lead, zech, key, size = sbox._orbits(ctx)
+        squares = power_map(2, ctx)
+        assert all(key[y] == key[squares[y]] for y in range(ctx.size)), n
+        # the orbit sizes the scan assumes: 1 for {1}, size[2:] for the
+        # short orbits, which come first, and n for every other orbit
+        sizes = [1, *size[2:], *[n] * (len(lead) + 2 - len(size))]
+        assert all(n % s == 0 for s in sizes), n
+        assert sum(sizes) == ctx.order, n
+        # the elements of degree exactly n fill the orbits of size n
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        degree_n = sum(_mobius(d) << n // d for d in divisors)
+        assert sizes.count(n) * n == degree_n, n
+        # ... and the keys: 0 for y = 0 alone, then one key per orbit
+        elements = Counter(key)
+        assert elements[0] == 1 and elements[1] == 1, n
+        assert [elements[c] for c in range(1, len(lead) + 2)] == sizes, n
+        for k, (i, z) in enumerate(zip(lead, zech)):
+            assert key[exp[i]] == k + 2 and exp[z] == exp[i] ^ 1, (n, k)
+
+
 def _field_results(n, rng):
     """power_map, uniformity and both inverse checks of a spread of
     exponents at n: all of them up to n = 8, 40 at random above."""
@@ -99,6 +151,7 @@ def test_numpy_path_agrees_with_the_list_path(monkeypatch):
     fields = range(2, 13)
     lists = {n: _field_results(n, random.Random(n)) for n in fields}
     sbox._tables.cache_clear()
+    sbox._orbits.cache_clear()
     monkeypatch.setattr(sbox, "_LIST_MAX_N", 1)
     try:
         for n in fields:
@@ -106,6 +159,22 @@ def test_numpy_path_agrees_with_the_list_path(monkeypatch):
             assert _field_results(n, random.Random(n)) == lists[n], n
     finally:
         sbox._tables.cache_clear()
+        sbox._orbits.cache_clear()
+
+
+def test_numpy_power_map_across_gather_chunks():
+    # above _LIST_MAX_N, power_map gathers _CHUNK entries at a time from
+    # x = 1 on: check either side of the first chunk boundary, of the
+    # boundary at 2^20, and the last entry
+    ctx = FieldContext(21)
+    assert ctx.n > sbox._LIST_MAX_N and (1 << 20) % sbox._CHUNK == 0
+    l = 0x15A3C7
+    table = power_map(l, ctx)
+    edges = (sbox._CHUNK + 1, (1 << 20) + 1, ctx.size + 1)
+    for x in sorted({x for e in edges for x in range(e - 3, e + 1)}):
+        if x < ctx.size:
+            expected = sbox._gf2_powmod(x, l, ctx.reduction_polynomial, ctx.n)
+            assert table[x] == expected, x
 
 
 def test_irreducible_table_entries_are_minimal():
