@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import log10
 
 from .carry import (
     CongruenceError,
@@ -61,6 +62,9 @@ MAX_RING_N = 1 << 20
 MAX_CARRY_RANGE = 1 << 16
 MAX_CATALOG_N = 4096
 MAX_AUDIT_N = 256
+# decimal digits of a MAX_RING_N-bit value, which inverse and carry read
+# and write; above the interpreter's default cap of 4,300 digits
+_MAX_DIGITS = int(MAX_RING_N * log10(2)) + 1
 
 # the command line's families in help order: kind, least n, the (r, n)
 # its closed form covers and constructor (None for raw: extended Euclid);
@@ -299,7 +303,9 @@ def _cmd_analyze(args: argparse.Namespace) -> dict[str, object]:
     result = {
         "uniformity": uniformity,
         "apn": uniformity == 2,
-        "degree": binary_weight(x),
+        # the uniformity check keeps l in [1, 2^n - 1], where x^l has
+        # degree weight(l); x's residue maps 2^n - 1 (degree n) to 0
+        "degree": args.l.bit_count(),
         "invertible": is_invertible(args.l, args.n),
         "canonical": _residue_doc(cyclotomic_canonical(x).value, args.n),
     }
@@ -385,8 +391,6 @@ def _render_text(doc: dict[str, object], quiet: bool) -> str:
             f"({res['canonical']['bits']})"
         )
     else:  # catalog
-        if not res["entries"]:
-            lines.append("no table rows apply at this n")
         for e in res["entries"]:
             inv = (
                 str(e["inverse"]["dec"]) if e["inverse"] is not None else "-"
@@ -486,6 +490,19 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # raise the int <-> str digit cap for this call only; tests and
+    # benchmarks call main in-process
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < cap < _MAX_DIGITS:
+        sys.set_int_max_str_digits(_MAX_DIGITS)
+    try:
+        return _main(argv)
+    finally:
+        if 0 < cap < _MAX_DIGITS:
+            sys.set_int_max_str_digits(cap)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -60,9 +60,9 @@ __all__ = [
 class InverseResult(_Record):
     """A constructed inverse with its certificates.
 
-    weight equals the binary weight of the inverse and the dispatched
-    case's weight formula; carry_matrix re-solves the add-with-carry
-    recurrence for s = 1, so the result is independently checkable.
+    weight equals the binary weight of the inverse and its family's
+    weight rule; carry_matrix re-solves the add-with-carry recurrence
+    for s = 1, so the result is independently checkable.
     """
 
     _fields = "inverse weight case_label r_matrix carry_matrix warnings"
@@ -188,8 +188,6 @@ def kasami_invertible(r: int, n: int) -> bool:
     if n < 2:
         raise ValueError(f"ring parameter must be >= 2, got {n}")
     r = r % n
-    if r == 0:
-        return True
     d = gcd(r, n)
     if (n // d) % 2 == 1:
         return True
@@ -217,19 +215,30 @@ _X1 = b"\0\0\0\1\1\1"
 _X2 = b"\0\1\1\1\0\0"
 
 
-def _gcd1_sequence(m: int, e: int) -> tuple[bytes, str, int]:
+def _kasami_weight(n: int, d: int, m: int, e: int) -> int:
+    """Weight (= algebraic degree) of the kasami inverse, m = n/d, e odd."""
+    if m % 2 == 0:
+        return (n + 2) // 2
+    if m % 3 == 0:
+        return (n - 3 * d + 4) // 2
+    s = m // e
+    c = s + 1 + s % 2 if e % 6 == 3 else 1
+    return (n - c * d + 2) // 2
+
+
+def _gcd1_sequence(m: int, e: int) -> tuple[bytes, str]:
     """Decimated inverse word for gcd(r, m) = 1, m odd, e odd.
 
-    Returns (sequence of length m, case tag, binary weight).  The
-    sequence is in r-ordering: the inverse is sum(seq[i] * 2^(-i*r)).
+    Returns (sequence of length m, case tag).  The sequence is in
+    r-ordering: the inverse is sum(seq[i] * 2^(-i*r)).
     """
     k, rem = divmod(e, 6)
     if rem == 1:
         seq = b"\1" + b"\1\0" * ((m - e) // 2) + b"\1\1\1\0\0\0" * k
-        tag, weight = "E6K1", (m + 1) // 2
+        tag = "E6K1"
     elif rem == 5:
         seq = b"\0" + b"\0\1" * ((m - e + 2) // 2) + b"\1\1" + _X1 * k
-        tag, weight = "E6K5", (m + 1) // 2
+        tag = "E6K5"
     else:  # rem == 3
         s, t = divmod(m, e)
         u = t // 6
@@ -251,7 +260,7 @@ def _gcd1_sequence(m: int, e: int) -> tuple[bytes, str, int]:
             if seq[0] != 0:
                 raise RuntimeError("block layout clash at position 0")
             seq[0] = 1
-            tag, weight = "E6K3_T6U1", (m - s + 1) // 2
+            tag = "E6K3_T6U1"
         elif t % 6 == 2:
             z = b"\1\0" * (3 * u)
             seq = (
@@ -263,7 +272,7 @@ def _gcd1_sequence(m: int, e: int) -> tuple[bytes, str, int]:
                 + b"\1"
                 + x2 * (k - u)
             )
-            tag, weight = "E6K3_T6U2", (m - s) // 2
+            tag = "E6K3_T6U2"
         elif t % 6 == 4:
             z = b"\1\0" * (3 * u)
             seq = (
@@ -276,7 +285,7 @@ def _gcd1_sequence(m: int, e: int) -> tuple[bytes, str, int]:
                 + x1 * ((e - 6 * u - 9) // 6)
                 + b"\0"
             )
-            tag, weight = "E6K3_T6U4", (m - s) // 2
+            tag = "E6K3_T6U4"
         else:  # t % 6 == 5
             z = x1 + b"\0\1" * ((e - 7 - 6 * u) // 2)
             seq = (
@@ -289,8 +298,8 @@ def _gcd1_sequence(m: int, e: int) -> tuple[bytes, str, int]:
                 + x1 * u
                 + z
             )
-            tag, weight = "E6K3_T6U5", (m - s + 1) // 2
-    return seq, tag, weight
+            tag = "E6K3_T6U5"
+    return seq, tag
 
 
 def _nd3_rows(m: int, e: int, d: int) -> tuple[list[bytes], str]:
@@ -299,7 +308,7 @@ def _nd3_rows(m: int, e: int, d: int) -> tuple[list[bytes], str]:
     The last row is the gcd = 1 word at modulus m; the other d - 1 rows
     share one six-periodic pattern.
     """
-    a2, tag, _ = _gcd1_sequence(m, e)
+    a2, tag = _gcd1_sequence(m, e)
     k = e // 6
     if e % 6 == 1:
         a1 = (
@@ -318,16 +327,14 @@ def _nd3_rows(m: int, e: int, d: int) -> tuple[list[bytes], str]:
     return [a1] * (d - 1) + [a2], f"ND3_{tag}"
 
 
-def _ndodd_rows(
-    m: int, e: int, d: int, n: int
-) -> tuple[list[bytes], str, int]:
+def _ndodd_rows(m: int, e: int, d: int) -> tuple[list[bytes], str]:
     """Rows for m = n/d odd, not divisible by 3, d > 1.
 
     The first row is the gcd = 1 word at modulus m; the other d - 1
     rows share a pattern picked by (e mod 6, m mod 6) for e = 1, 5 and
     by (e mod 6, t mod 6) for e = 3 mod 6.
     """
-    a1, _, _ = _gcd1_sequence(m, e)
+    a1, _ = _gcd1_sequence(m, e)
     k = e // 6
     s, t = divmod(m, e)
     u = t // 6
@@ -337,31 +344,23 @@ def _ndodd_rows(
     z = b"\0\1\1" + x1 * k + b"\0\0\0" + x3 * k
     if e % 6 == 1 and m % 6 == 1:
         a2, case = x1 * v + b"\0", "A"
-        weight = (n - d + 2) // 2
     elif e % 6 == 1 and m % 6 == 5:
         a2, case = b"\1\1\0\0\0\1" * v + b"\1\1\0\0\0", "B"
-        weight = (n - d + 2) // 2
     elif e % 6 == 5 and m % 6 == 1:
         a2, case = b"\0" + x1 * v, "C"
-        weight = (n - d + 2) // 2
     elif e % 6 == 5 and m % 6 == 5:
         a2, case = b"\0\1\1" + x1 * v + b"\0\0", "D"
-        weight = (n - d + 2) // 2
     elif t % 6 == 1:
         a2, case = x1 * u + y * (s // 2) + b"\0", "E"
-        weight = (n - d * (s + 1) + 2) // 2
     elif t % 6 == 2:
         a2 = b"\0\1" + x1 * u + y * ((s - 1) // 2) + b"\0\0\0" + x3 * k
         case = "F"
-        weight = (n - d * (s + 2) + 2) // 2
     elif t % 6 == 4:
         head = b"\0\0\0" + x3 * u + z * ((s - 1) // 2)
         a2, case = head + b"\0\1\1" + x1 * k + b"\0", "G"
-        weight = (n - d * (s + 2) + 2) // 2
     else:  # t % 6 == 5
         a2, case = b"\0\1\1\0\0" + x3 * u + z * (s // 2), "H"
-        weight = (n - d * (s + 1) + 2) // 2
-    return [a1] + [a2] * (d - 1), f"NDODD_CASE_{case}", weight
+    return [a1] + [a2] * (d - 1), f"NDODD_CASE_{case}"
 
 
 def _ndeven_rows(m: int, d: int) -> tuple[list[bytes], str]:
@@ -391,7 +390,6 @@ def _kasami_closed_form(r: int, n: int) -> tuple[list[bytes], str, int]:
     e = e_value(r, n)
     if m % 2 == 0:
         rows, tag = _ndeven_rows(m, d)
-        weight = (n + 2) // 2
     elif e % 2 == 0:
         # the partner exponent with parameter n - r has odd e; the two
         # inverses differ by the cyclotomic shift -2r, which in the rows
@@ -401,13 +399,12 @@ def _kasami_closed_form(r: int, n: int) -> tuple[list[bytes], str, int]:
         return rows, tag + "_REFLECTED", weight
     elif m % 3 == 0:
         rows, tag = _nd3_rows(m, e, d)
-        weight = (n - 3 * d + 4) // 2
     elif d == 1:
-        seq, tag, weight = _gcd1_sequence(n, e)
+        seq, tag = _gcd1_sequence(n, e)
         rows, tag = [seq], f"GCD1_{tag}"
     else:
-        rows, tag, weight = _ndodd_rows(m, e, d, n)
-    return rows, tag, weight
+        rows, tag = _ndodd_rows(m, e, d)
+    return rows, tag, _kasami_weight(n, d, m, e)
 
 
 def kasami_inverse(r: int, n: int) -> InverseResult:
@@ -458,23 +455,20 @@ def bl_inverse(r: int) -> InverseResult:
 def kasami_degree_bounds(r: int, n: int) -> tuple[int, int, bool]:
     """Bounds on the weight (= algebraic degree) of the kasami inverse.
 
-    Returns (lower, upper, attained) where lower = upper when the
-    weight is pinned exactly: (n + 2)/2 for n/d even, (n - 3d + 4)/2
-    when 3 divides n/d.  Otherwise the bounds are (n - d + 3)/3 or
-    (n - 2d + 3)/3 by n/d mod 3, against the cap (n - d + 2)/2, and
-    the lower bound is attained exactly when the odd representative of
-    e equals 3.
+    Returns (lower, upper, attained) from _kasami_weight.  The weight
+    is pinned, lower = upper, when m = n/d is even or divisible by 3;
+    else lower and upper are its values at e = 3 and e = 1, and
+    attained tells whether the odd representative of e is 3.
     """
     r = _kasami_r(r, n, [])
     d = gcd(r, n)
     m = n // d
-    if m % 2 == 0 or m % 3 == 0:
-        w = _kasami_closed_form(r, n)[2]
-        return w, w, False
     e = e_value(r, n)
     e_odd = e if e % 2 == 1 else m - e
-    upper = (n - d + 2) // 2
-    lower = (n - d + 3) // 3 if m % 3 == 1 else (n - 2 * d + 3) // 3
+    if m % 2 == 0 or m % 3 == 0:
+        w = _kasami_weight(n, d, m, e_odd)
+        return w, w, False
+    lower, upper = _kasami_weight(n, d, m, 3), _kasami_weight(n, d, m, 1)
     return lower, upper, e_odd == 3
 
 

@@ -32,7 +32,6 @@ from operator import floordiv, xor
 
 from .residues import (
     ExponentFamily,
-    Residue,
     _Record,
     family_exponent,
     is_invertible,
@@ -76,19 +75,22 @@ def _gf2_mulmod(a: int, b: int, poly: int, n: int) -> int:
     return res
 
 
+def _gf2_powmod(a: int, k: int, poly: int, n: int) -> int:
+    res = 1
+    while k:
+        if k & 1:
+            res = _gf2_mulmod(res, a, poly, n)
+        a = _gf2_mulmod(a, a, poly, n)
+        k >>= 1
+    return res
+
+
 def _gf2_poly_gcd(a: int, b: int) -> int:
     while b:
         while a and a.bit_length() >= b.bit_length():
             a ^= b << (a.bit_length() - b.bit_length())
         a, b = b, a
     return a
-
-
-def _x_pow_2k(poly: int, n: int, k: int) -> int:
-    r = 2  # the basis element x
-    for _ in range(k):
-        r = _gf2_mulmod(r, r, poly, n)
-    return r
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -113,10 +115,11 @@ def is_irreducible(poly: int, n: int) -> bool:
     """
     if n < 1 or poly >> n != 1:
         return False
-    if _x_pow_2k(poly, n, n) != 2:
+    x = 2 if n > 1 else poly & 1  # the basis element x, reduced mod poly
+    if _gf2_powmod(x, 1 << n, poly, n) != x:
         return False
     return all(
-        _gf2_poly_gcd(_x_pow_2k(poly, n, n // p) ^ 2, poly) == 1
+        _gf2_poly_gcd(_gf2_powmod(x, 1 << (n // p), poly, n) ^ x, poly) == 1
         for p in _prime_factors(n)
     )
 
@@ -177,16 +180,6 @@ def _find_generator(ctx: FieldContext) -> int:
         ):
             return g
     raise RuntimeError("no generator found; the field tables are broken")
-
-
-def _gf2_powmod(a: int, k: int, poly: int, n: int) -> int:
-    res = 1
-    while k:
-        if k & 1:
-            res = _gf2_mulmod(res, a, poly, n)
-        a = _gf2_mulmod(a, a, poly, n)
-        k >>= 1
-    return res
 
 
 def _mul_const(v: list[int] | np.ndarray, c: int, poly: int, n: int):

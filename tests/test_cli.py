@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -350,6 +351,65 @@ def test_analyze_linear(capsys):
     doc = json.loads(out)
     assert doc["result"]["uniformity"] == 16
     assert doc["result"]["degree"] == 1
+
+
+@pytest.mark.parametrize("l, n", [(31, 5), (7, 3)])
+def test_analyze_all_ones_exponent_has_degree_n(capsys, l, n):
+    # x^(2^n - 1) is 1 on every nonzero x and 0 at 0: degree n, not the
+    # weight 0 of its residue
+    code, out, _ = run(capsys, "analyze", "--l", str(l), "--n", str(n))
+    assert code == 0
+    assert f"degree:     {n}\n" in out
+    assert "canonical:  0 " in out
+
+
+def _digit_cap():
+    """The interpreter's int/str digit cap; 0 means none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _uncapped_str(value):
+    """str(value) past the digit cap, which is left as it was."""
+    cap = _digit_cap()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+
+
+def test_decimal_output_past_the_default_digit_cap(capsys):
+    # a 15,001-bit residue has 4,516 decimal digits, over the default
+    # cap of 4,300; main lifts the cap for its own call only
+    n, cap = 15001, _digit_cap()
+    code, out, err = run(
+        capsys, "--format", "json", "inverse", "kasami", "--r", "1",
+        "--n", str(n),
+    )
+    assert (code, err) == (0, "")
+    assert _digit_cap() == cap
+    inverse = json.loads(out, parse_int=str)["result"]["inverse"]
+    expected = pow(3, -1, 2**n - 1)  # kasami(1) = 2^2 - 2^1 + 1
+    assert int(inverse["bits"], 2) == expected
+    assert inverse["dec"] == _uncapped_str(expected)
+    code, out, _ = run(capsys, "inverse", "raw", "--l", "3", "--n", str(n))
+    assert code == 0 and f"inverse: {_uncapped_str(expected)}  (" in out
+
+
+def test_carry_json_past_the_default_digit_cap(capsys):
+    n, cap = 15001, _digit_cap()
+    a = (1 << (n - 1)) // 7
+    s = 3 * a % (2**n - 1)
+    code, out, err = run(
+        capsys, "--format", "json", "carry", "gold1", "--a", hex(a),
+        "--s", hex(s), "--n", str(n),
+    )
+    assert (code, err) == (0, "")
+    assert _digit_cap() == cap
+    inputs = json.loads(out, parse_int=str)["inputs"]
+    assert inputs["a"] == _uncapped_str(a) and inputs["s"] == _uncapped_str(s)
 
 
 def test_catalog_text(capsys):

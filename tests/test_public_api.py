@@ -1,12 +1,29 @@
-"""The package's public surface: each module's __all__, stated once."""
+"""The package's public surface: each module's __all__, stated once,
+and the input checks of its public functions."""
 
 import ast
 import importlib
 import io
+import re
 import tokenize
 from pathlib import Path
 
+import pytest
+
 import mersexp
+from mersexp import (
+    ExponentFamily,
+    FieldContext,
+    Residue,
+    SignedPowerForm,
+    canonical_form,
+    e_value,
+    fold_mod,
+    matrix_of_sequence,
+    solve_carries,
+    to_bits,
+)
+from mersexp.sbox import power_map, verify_compositional_inverse
 
 MODULES = ("residues", "carry", "orderings", "closed_form", "sbox")
 SRC = Path(mersexp.__file__).parent
@@ -89,3 +106,44 @@ def test_readme_quick_tour_values():
     assert checked == [
         78, 4, "KASAMI_GCD1_E6K5", ((0, 0, 1, 0, 1, 1, 1),), 3, 2
     ]
+
+
+_GF16 = FieldContext(4)
+_GOLD1 = canonical_form(ExponentFamily("gold", 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: fold_mod(5, 1), "ring parameter must be >= 2, got 1",
+                 id="fold_mod n < 2"),
+    pytest.param(lambda: fold_mod(-1, 5),
+                 "fold_mod expects a non-negative integer",
+                 id="fold_mod x < 0"),
+    pytest.param(lambda: e_value(0, 5), "r and n must be positive",
+                 id="e_value r < 1"),
+    pytest.param(lambda: e_value(1, 0), "r and n must be positive",
+                 id="e_value n < 1"),
+    pytest.param(lambda: matrix_of_sequence([0, 1], 3, 1),
+                 "expected 3 values, got 2", id="matrix_of_sequence length"),
+    pytest.param(lambda: power_map(0, _GF16),
+                 "exponent must be positive, got 0", id="power_map l < 1"),
+    pytest.param(lambda: verify_compositional_inverse(1, 0, _GF16),
+                 "exponents must be positive",
+                 id="verify_compositional_inverse exponent < 1"),
+    # is_irreducible turns down a polynomial of degree 3 as a degree-4 one
+    pytest.param(lambda: FieldContext(4, 0b1011),
+                 "0b1011 is not a monic irreducible of degree 4",
+                 id="is_irreducible wrong degree"),
+    pytest.param(lambda: SignedPowerForm(((0, 1), (0, 2))),
+                 "duplicate exponent 0",
+                 id="SignedPowerForm repeated exponent"),
+    pytest.param(lambda: SignedPowerForm(((0, 1), (1, -1))),  # 1 - 2
+                 "the represented integer must be positive",
+                 id="SignedPowerForm value <= 0"),
+    pytest.param(lambda: solve_carries(
+                     _GOLD1, to_bits(Residue(5, 1)), to_bits(Residue(6, 1))),
+                 "length mismatch: a has 5 bits, s has 6",
+                 id="solve_carries n mismatch"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

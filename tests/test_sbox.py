@@ -209,6 +209,17 @@ def test_irreducible_table_against_sympy():
             assert not gf_irreducible_p(_sympy_poly(smaller), 2, ZZ)
 
 
+def test_is_irreducible_against_sympy_degrees_1_to_8():
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    for n in range(1, 9):
+        for poly in range(1 << n, 2 << n):  # every monic of degree n
+            expected = gf_irreducible_p(_sympy_poly(poly), 2, ZZ)
+            assert is_irreducible(poly, n) == expected, f"0b{poly:b}"
+    assert is_irreducible(0b10, 1) and is_irreducible(0b11, 1)
+
+
 def test_power_map_against_sympy():
     from sympy.polys.domains import ZZ
     from sympy.polys.galoistools import gf_pow_mod
