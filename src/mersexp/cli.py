@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import log10
 
@@ -52,6 +53,7 @@ EXIT_NOT_INVERTIBLE = 2
 EXIT_BAD_PARAMS = 3
 EXIT_CONGRUENCE = 4
 EXIT_AUDIT_MISMATCH = 5
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command cut off by `| head`
 
 # inverse and carry refuse larger rings before allocating anything;
 # catalog (a closed form per row, about n^2 work) and audit (every
@@ -521,9 +523,17 @@ def _main(argv: list[str] | None) -> int:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
     if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=False))
+        text = json.dumps(doc, indent=2, sort_keys=False)
     else:
-        print(_render_text(doc, args.quiet))
+        text = _render_text(doc, args.quiet)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early; point stdout at devnull so
+        # that the interpreter's flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     if doc["command"] == "audit" and doc["result"]["failed"] > 0:
         return EXIT_AUDIT_MISMATCH
     return EXIT_OK

@@ -5,13 +5,21 @@ the d x (n/d) r-matrix with entry (i, j) = a[(i - j*r) mod n],
 d = gcd(n, r).  With d = 1 its single row is the r-ordering, the
 decimation of the word by -r.  Rows and columns are indexed from 0;
 the reindexing is a weight preserving permutation of the word, done on
-signed bytes throughout (the comment at _SHORT_ROW has the cut-offs).
+signed bytes throughout.
+
+A strand longer than _SHORT_ROW is decimated in strided slices of a
+few back-to-back copies of itself.  _plan takes the slice stride from
+the convergents of the continued fraction of the step over the strand
+length, so a strand of m entries takes at most 2*sqrt(m) slices (a
+median 0.2*sqrt(m) over random steps at m = 16,001) and at most
+max(4*m, 256 KB) bytes of copies; the comment at _SHORT_ROW has the
+cut-offs and the costs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import gcd, isqrt
+from math import gcd
 
 from .carry import _signed_bytes
 from .residues import BitSequence, _Record
@@ -71,50 +79,91 @@ class RMatrix(_Record):
         return tuple(tuple(flat[i : i + m]) for i in range(0, self.n, m))
 
 
-def _walk(seq: bytes, start: int, stride: int, count: int) -> bytearray:
-    """seq[(start + t*stride) % m] for t < count, read as runs of slices."""
-    m, out = len(seq), bytearray()
-    while len(out) < count:
-        run = seq[start::stride][: count - len(out)]
-        out += run
-        start += len(run) * stride - m
-    return out
-
-
-def _decimate(seq: bytes, step: int) -> bytearray:
-    """[seq[(-j*step) % m] for j < m], m = len(seq), step prime to m.
-
-    Up to _SHORT_ROW entries it is every g-th entry of g copies of seq,
-    g = -step mod m.  Longer words are walked: for the k <= sqrt(m) with
-    k*g mod m nearest 0 or m, entries c, c + k, ... step through seq (or
-    the reversed seq) by that short stride, about 2*sqrt(m) slices in all.
-    """
-    m = len(seq)
-    g, top = m - step % m, 0
-    if m <= _SHORT_ROW:  # g copies of seq, at most m*m bytes
-        return bytearray((seq * g)[::g])
-    k = min(
-        range(1, isqrt(m) + 1),
-        key=lambda k: k + min(k * g % m, -k * g % m),
-    )
-    if 2 * (k * g % m) > m:  # seq[x] is the reversed word's m - 1 - x
-        seq, g, top = seq[::-1], m - g, m - 1
-    out = bytearray(m)
-    for c in range(k):
-        x = (top + c * g) % m
-        out[c::k] = _walk(seq, x, k * g % m, len(range(c, m, k)))
-    return out
-
-
 # With d = gcd(n, r) and n = d*m, position (i - j*r) mod n is
 # i + d*((-j*r/d) mod m): row i is the strand word[i::d] decimated by
 # r/d, and column j, flat[j::m], is the block of d consecutive entries
 # starting at d*((-j*r/d) mod m).  Rows longer than d go strand by
-# strand, the other words column by column, one slice copy each: the
-# two cost the same near m = 1.5*d for d <= 32, beyond m = 3*d at
-# d = 128.  Up to _SHORT_ROW, g copies of a row (at most 256 KB) beat
-# the walk threefold; at m = 1024 some steps already lose.
+# strand, one plan for all d strands, the other words column by column,
+# one slice copy each: the two cost the same near m = 1.5*d for d <= 32,
+# beyond m = 3*d at d = 128.  Up to _SHORT_ROW a strand is every g-th
+# entry of g copies of itself, one slice of at most 256 KB with no plan
+# to work out.  On a Xeon core with Python 3.11 that takes a median
+# 1.0 us at m = 64 and 6.6 us at m = 512, and _plan with _decimate's
+# walk 6.3 and 10.1 us; they break even near m = 768 (13.5 us, but g
+# copies reach 590 KB there), and the walk wins from m = 1024 (17
+# against 22 us).  Longer strands may copy max(_COPIES*m, _SHORT_ROW**2)
+# bytes, and _plan charges a copy past 256 KB one slice per
+# _SLICE_BYTES, which keeps large strides at m = 2**20 (g = 1000) on
+# one copy.
 _SHORT_ROW = 512
+_COPIES = 4
+_SLICE_BYTES = 2048
+
+
+def _plan(m: int, step: int) -> tuple[int, int, int, int]:
+    """How _decimate reads a length-m strand decimated by step.
+
+    Returns (g, q, h, copies), g = -step mod m.  Output entry j is
+    seq[j*g % m], so the entries j, j + q, j + 2q, ... lie h = q*g mod m
+    apart in seq (h taken in (-m/2, m/2]), and one strided slice of
+    copies back-to-back copies of seq reads a run of them.  The best q
+    are the convergent denominators of g/m: each gives the least |h| of
+    any q below the next one (best approximations), so the plan looks at
+    their O(log m) values only and keeps the q and copies of least cost,
+    counted as slices plus bytes copied.
+    """
+    g = -step % m
+    if m <= _SHORT_ROW:  # one slice of g copies
+        return g, 1, g, g
+    cap = max(_COPIES, _SHORT_ROW**2 // m)
+    best, plan = m, (g, 1, g, 1)
+    q0, q, num, den = 0, 1, m, g
+    while q < best:  # no later candidate costs less than its q
+        h = q * g % m
+        if 2 * h > m:
+            h -= m
+        # the copies that read each run in one slice, capped
+        fit = 1 + ((m - 1) // q * abs(h) + m - 1) // m
+        for copies, slices in (
+            (1, q + abs(h)),
+            (min(fit, cap), q if fit <= cap else q + abs(h) // cap),
+        ):
+            size = copies * m
+            cost = slices + (size // _SLICE_BYTES if size > _SHORT_ROW**2 else 0)
+            if cost < best:
+                best, plan = cost, (g, q, h, copies)
+        t = num // den  # the next partial quotient of g/m
+        num, den = den, num - t * den
+        q0, q = q, t * q + q0
+    return plan
+
+
+def _decimate(seq: bytes, plan: tuple[int, int, int, int]) -> bytearray:
+    """[seq[(-j*step) % m] for j < m], m = len(seq), plan = _plan(m, step).
+
+    Each run j, j + q, ... of the output reads copies of seq upwards by
+    |h|: from its first j up when h > 0, from its last j (in [m - q, m))
+    down when h < 0.  A slice ends where the copies do, and the run goes
+    on from the same residue in the first copy.
+    """
+    g, q, h, copies = plan
+    m = len(seq)
+    if m <= _SHORT_ROW:
+        return bytearray((seq * g)[::g])
+    span = copies * m
+    src, out = seq * copies, bytearray(m)
+    if h > 0:
+        starts, end, stride = range(q), m, q
+    else:
+        starts, end, stride, h = range(m - q, m), -1, -q, -h
+    for j in starts:
+        x, left = j * g % m, len(range(j, end, stride))
+        while left:
+            take = min(left, (span - 1 - x) // h + 1)
+            stop = j + take * stride
+            out[j : stop if stop >= 0 else None : stride] = src[x : x + take * h : h]
+            j, x, left = stop, (x + take * h) % m, left - take
+    return out
 
 
 def _regular_word(flat: bytes, n: int, r: int) -> bytearray:
@@ -123,9 +172,9 @@ def _regular_word(flat: bytes, n: int, r: int) -> bytearray:
     m, step = n // d, r // d
     word = bytearray(n)
     if m > d:
-        inverse = pow(step, -1, m)
+        plan = _plan(m, pow(step, -1, m))
         for i in range(d):
-            word[i::d] = _decimate(flat[i * m : (i + 1) * m], inverse)
+            word[i::d] = _decimate(flat[i * m : (i + 1) * m], plan)
     else:
         for j in range(m):
             b = -j * step % m * d
@@ -141,7 +190,8 @@ def matrix_of_sequence(values: Sequence[int], n: int, r: int) -> RMatrix:
     d = gcd(n, r)
     m, step = n // d, r // d
     if m > d:
-        flat = b"".join(_decimate(word[i::d], step) for i in range(d))
+        plan = _plan(m, step)
+        flat = b"".join(_decimate(word[i::d], plan) for i in range(d))
     else:
         flat = bytearray(n)
         for j in range(m):

@@ -76,12 +76,14 @@ def _gf2_mulmod(a: int, b: int, poly: int, n: int) -> int:
 
 
 def _gf2_powmod(a: int, k: int, poly: int, n: int) -> int:
-    res = 1
-    while k:
-        if k & 1:
+    """a^k mod poly for k >= 1, from the top bit of k down: one squaring
+    per lower bit and one product per lower set bit, so x^(2^k) takes
+    k multiplications."""
+    res = a
+    for bit in bin(k)[3:]:
+        res = _gf2_mulmod(res, res, poly, n)
+        if bit == "1":
             res = _gf2_mulmod(res, a, poly, n)
-        a = _gf2_mulmod(a, a, poly, n)
-        k >>= 1
     return res
 
 

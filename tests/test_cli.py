@@ -1,8 +1,11 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,7 @@ from mersexp import Residue
 from mersexp.cli import (
     EXIT_AUDIT_MISMATCH,
     EXIT_BAD_PARAMS,
+    EXIT_BROKEN_PIPE,
     EXIT_CONGRUENCE,
     EXIT_NOT_INVERTIBLE,
     MAX_AUDIT_N,
@@ -410,6 +414,26 @@ def test_carry_json_past_the_default_digit_cap(capsys):
     assert _digit_cap() == cap
     inputs = json.loads(out, parse_int=str)["inputs"]
     assert inputs["a"] == _uncapped_str(a) and inputs["s"] == _uncapped_str(s)
+
+
+def test_reader_closing_the_pipe_early_gets_no_traceback():
+    # `mersexp ... | head -c 10`: the JSON document (about 470 KB) is far
+    # larger than a pipe's buffer, so the print meets the closed pipe
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    argv = ["--format", "json", "inverse", "gold", "--r", "5", "--n", "20001"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "mersexp.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.read(10) == b'{\n  "comma'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert "Traceback" not in err and "Error" not in err, err
 
 
 def test_catalog_text(capsys):

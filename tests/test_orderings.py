@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,6 +15,7 @@ from mersexp import (
     to_bits,
     to_r_matrix,
 )
+from mersexp.orderings import _COPIES, _SHORT_ROW, _decimate, _plan
 
 
 def bits_of(value, n):
@@ -238,3 +239,75 @@ def test_carry_matrix_bytes_match_tuple(case):
         tuple(carries[(i - j * r) % n] for j in range(m.cols))
         for i in range(m.d)
     )
+
+
+def _decimated(seq, step):
+    """The decimation by its definition: entry j is seq[(-j*step) mod m]."""
+    m = len(seq)
+    return bytes([seq[x % m] for x in range(0, -step * m, -step)])
+
+
+def _reads(seq, plan):
+    """_decimate's output, the copies of seq it made and the slices it
+    read from them."""
+    made = []
+
+    class Copies(bytes):
+        def __getitem__(self, key):
+            made.append(key)
+            return bytes.__getitem__(self, key)
+
+    class Strand(bytes):
+        def __mul__(self, copies):
+            made.append(copies)
+            return Copies(bytes(self) * copies)
+
+    out = _decimate(Strand(seq), plan)
+    return out, made[0], len(made) - 1
+
+
+def _check_plan(seq, step):
+    m = len(seq)
+    out, copies, slices = _reads(seq, _plan(m, step))
+    assert out == _decimated(seq, step), step
+    # a strand of m entries takes O(sqrt(m)) slices and at most
+    # max(_COPIES * m, _SHORT_ROW**2) bytes of copies
+    assert copies <= max(_COPIES, _SHORT_ROW**2 // m), step
+    assert slices <= 2 * isqrt(m), step
+
+
+@pytest.mark.parametrize("m", [513, 1031])
+def test_decimation_of_every_step_past_the_short_rows(m):
+    # every step prime to m, just past the rows decimated in one slice
+    assert m > _SHORT_ROW
+    seq = random.Random(m).randbytes(m)
+    for step in range(1, m):
+        if gcd(step, m) == 1:
+            _check_plan(seq, step)
+
+
+@pytest.mark.parametrize("m", [16001, 65003, 131071])
+def test_decimation_at_edge_strides(m):
+    # g = -step mod m: the smallest strides, g near m/q for small q,
+    # near sqrt(m), and at m/phi, whose continued fraction has only 1s
+    # (convergents that approach g/m the slowest).  Past m = 65,536 four
+    # copies pass 256 KB, and the plan reads small strides from one copy
+    root, phi = isqrt(m), (1 + 5**0.5) / 2
+    gs = {1, 2, 46, (m - 1) // 2, (m + 1) // 2, root, root + 1, int(m / phi)}
+    for q in (3, 7, 100):
+        gs |= {m // q - 1, m // q, m // q + 1}
+    seq = random.Random(m).randbytes(m)
+    for g in sorted(gs):
+        for step in (m - g, g):  # g and -g
+            if gcd(step, m) == 1:
+                _check_plan(seq, step)
+
+
+def test_plan_reads_large_strides_at_2_20_from_one_copy():
+    # past 256 KB a copy costs more than the slices it saves: at
+    # m = 2^20 - 3, four copies made g = 1000 about twice as slow
+    m = 1048573
+    for g in (2, 46, 1000, 1023, 1024):
+        for step in (m - g, g):
+            _, q, h, copies = _plan(m, step)
+            assert (q, abs(h), copies) == (1, g, 1), step

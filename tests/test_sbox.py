@@ -186,6 +186,29 @@ def test_irreducible_table_entries_are_minimal():
             assert not is_irreducible(cand, n)
 
 
+def test_gf2_powmod_multiplication_count(monkeypatch):
+    # x^(2^k) takes k squarings; any k >= 1 takes one squaring per bit
+    # below its top bit and one product per set bit below it, and the
+    # value is the product of k factors
+    poly, n = smallest_irreducible(24), 24
+    mulmod = sbox._gf2_mulmod
+    calls = []
+    monkeypatch.setattr(
+        sbox, "_gf2_mulmod", lambda *args: calls.append(1) or mulmod(*args)
+    )
+    for k in (1, 2, 3, 5, 6, 11, 64, 255, 1 << 12, 1 << 24):
+        calls.clear()
+        got = sbox._gf2_powmod(0b10011, k, poly, n)
+        assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1, k
+        if k < 300:
+            expected = 0b10011
+            for _ in range(k - 1):
+                expected = mulmod(expected, 0b10011, poly, n)
+            assert got == expected, k
+    calls.clear()
+    assert is_irreducible(poly, n) and len(calls) == 24 + 12 + 8
+
+
 def test_smallest_irreducible_rejects_degree_below_2():
     for n in (1, 0, -1):
         with pytest.raises(ValueError, match=f"degree must be >= 2, got {n}"):
