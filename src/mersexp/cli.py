@@ -58,8 +58,9 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command cut off by
 # inverse and carry refuse larger rings before allocating anything;
 # catalog (a closed form per row, about n^2 work) and audit (every
 # instance up to n-max, about n^3) refuse larger n before any work;
-# carry refuses a term list whose carries span more values than
-# MAX_CARRY_RANGE, which keeps the solver's lanes within three bytes
+# carry refuses a term list or raw exponent whose carries span more
+# values than MAX_CARRY_RANGE, which keeps the solver's lanes within
+# three bytes
 MAX_RING_N = 1 << 20
 MAX_CARRY_RANGE = 1 << 16
 MAX_CATALOG_N = 4096
@@ -123,6 +124,14 @@ def _check_limit(value: int, limit: int, what: str, name: str = "n") -> None:
         )
 
 
+def _check_carry_range(span: int) -> None:
+    if span > MAX_CARRY_RANGE:  # span = t_+ - t_-
+        raise ValueError(
+            "the terms' carry range t+ - t- exceeds the carry-range "
+            f"limit t+ - t- <= {MAX_CARRY_RANGE}"
+        )
+
+
 def _doc(
     command: str,
     inputs: dict[str, object],
@@ -148,13 +157,16 @@ def _parse_l_spec(
     explicit signed term list like '6:1,3:-1,0:1' (exponent:coefficient
     pairs).  Returns (form, family-or-None, echo string).  A term exponent
     or a gold/kasami/bl r above MAX_RING_N is refused before 2^it is built,
-    and a term list with t_+ - t_- above MAX_CARRY_RANGE before any form.
+    and a term list or raw l with t_+ - t_- above MAX_CARRY_RANGE before
+    any form.
     """
     spec = spec.strip().lower()
     for prefix, (kind, *_) in _FAMILIES.items():
         if spec.startswith(prefix) and spec[len(prefix) :].isdigit():
             param = int(spec[len(prefix) :])
-            if kind != "raw":  # raw's parameter is l itself, not an exponent
+            if kind == "raw":  # raw's parameter is l itself, its terms l's bits
+                _check_carry_range(param.bit_count())
+            else:
                 _check_limit(param, MAX_RING_N, "family-parameter", "r")
             fam = ExponentFamily(kind, param)
             return canonical_form(fam), fam, spec
@@ -167,11 +179,7 @@ def _parse_l_spec(
             if j in terms:
                 raise ValueError(f"exponent {j} appears twice in {spec!r}")
             terms[j] = t
-        if sum(map(abs, terms.values())) > MAX_CARRY_RANGE:  # t_+ - t_-
-            raise ValueError(
-                "the terms' carry range t+ - t- exceeds the carry-range "
-                f"limit t+ - t- <= {MAX_CARRY_RANGE}"
-            )
+        _check_carry_range(sum(map(abs, terms.values())))
         return signed_form(terms), None, spec
     raise ValueError(
         f"cannot parse exponent spec {spec!r}; use e.g. kasami3, raw5 "

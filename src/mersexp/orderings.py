@@ -11,9 +11,9 @@ A strand longer than _SHORT_ROW is decimated in strided slices of a
 few back-to-back copies of itself.  _plan takes the slice stride from
 the convergents of the continued fraction of the step over the strand
 length, so a strand of m entries takes at most 2*sqrt(m) slices (a
-median 0.2*sqrt(m) over random steps at m = 16,001) and at most
-max(4*m, 256 KB) bytes of copies; the comment at _SHORT_ROW has the
-cut-offs and the costs.
+median 0.2*sqrt(m) over random steps at m = 16,001) and at most 256 KB
+of copies, or the strand itself when it is longer; the comment at
+_SHORT_ROW has the cut-offs and the costs.
 """
 
 from __future__ import annotations
@@ -91,13 +91,8 @@ class RMatrix(_Record):
 # 1.0 us at m = 64 and 6.6 us at m = 512, and _plan with _decimate's
 # walk 6.3 and 10.1 us; they break even near m = 768 (13.5 us, but g
 # copies reach 590 KB there), and the walk wins from m = 1024 (17
-# against 22 us).  Longer strands may copy max(_COPIES*m, _SHORT_ROW**2)
-# bytes, and _plan charges a copy past 256 KB one slice per
-# _SLICE_BYTES, which keeps large strides at m = 2**20 (g = 1000) on
-# one copy.
+# against 22 us).
 _SHORT_ROW = 512
-_COPIES = 4
-_SLICE_BYTES = 2048
 
 
 def _plan(m: int, step: int) -> tuple[int, int, int, int]:
@@ -109,13 +104,16 @@ def _plan(m: int, step: int) -> tuple[int, int, int, int]:
     copies back-to-back copies of seq reads a run of them.  The best q
     are the convergent denominators of g/m: each gives the least |h| of
     any q below the next one (best approximations), so the plan looks at
-    their O(log m) values only and keeps the q and copies of least cost,
-    counted as slices plus bytes copied.
+    their O(log m) values only and keeps the q of fewest slices.  Each q
+    takes the copies that read every run in one slice, q slices, within
+    one budget of _SHORT_ROW**2 bytes (256 KB, the bound of the short
+    rows); past it a run breaks where the copies end, q + |h|/copies
+    slices.
     """
     g = -step % m
     if m <= _SHORT_ROW:  # one slice of g copies
         return g, 1, g, g
-    cap = max(_COPIES, _SHORT_ROW**2 // m)
+    cap = max(1, _SHORT_ROW**2 // m)
     best, plan = m, (g, 1, g, 1)
     q0, q, num, den = 0, 1, m, g
     while q < best:  # no later candidate costs less than its q
@@ -124,14 +122,10 @@ def _plan(m: int, step: int) -> tuple[int, int, int, int]:
             h -= m
         # the copies that read each run in one slice, capped
         fit = 1 + ((m - 1) // q * abs(h) + m - 1) // m
-        for copies, slices in (
-            (1, q + abs(h)),
-            (min(fit, cap), q if fit <= cap else q + abs(h) // cap),
-        ):
-            size = copies * m
-            cost = slices + (size // _SLICE_BYTES if size > _SHORT_ROW**2 else 0)
-            if cost < best:
-                best, plan = cost, (g, q, h, copies)
+        copies = min(fit, cap)
+        cost = q if fit <= cap else q + abs(h) // copies
+        if cost < best:
+            best, plan = cost, (g, q, h, copies)
         t = num // den  # the next partial quotient of g/m
         num, den = den, num - t * den
         q0, q = q, t * q + q0

@@ -256,7 +256,7 @@ _FAMILIES = {
         - 1,
     ),
     "raw": (
-        lambda l: {j: 1 for j in range(l.bit_length()) if (l >> j) & 1},
+        lambda l: {j: 1 for j, bit in enumerate(bin(l)[:1:-1]) if bit == "1"},
         None,
     ),
 }

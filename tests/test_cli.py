@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -229,14 +230,35 @@ def test_carry_exponent_limit(capsys, spec, message):
     assert peak < 1 << 20
 
 
+def _decimal(value):
+    """str(value) past the interpreter's 4,300-digit cap."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+
+
 @pytest.mark.parametrize(
     "spec",
     [
         "0:1,5:" + "7" * 4000,  # a 4,000-digit coefficient
         "0:0x" + "f" * 8000,  # hex escapes the 4,300-digit int() limit
         f"0:{MAX_CARRY_RANGE // 2 + 1},3:-{MAX_CARRY_RANGE // 2}",
+        "0:70000",
+        # raw's terms are l's bits: the carry range of '0:70000'
+        "raw" + _decimal(2**70000 - 1),
     ],
-    ids=["decimal-4000-digits", "hex-8000-digits", "one-past-the-limit"],
+    ids=[
+        "decimal-4000-digits",
+        "hex-8000-digits",
+        "one-past-the-limit",
+        "term-70000",
+        "raw-70000-bits",
+    ],
 )
 def test_carry_coefficient_limit(capsys, spec):
     # refused before any form is built: the solver's lanes grow with the
@@ -252,6 +274,16 @@ def test_carry_coefficient_limit(capsys, spec):
     assert code == EXIT_BAD_PARAMS and out == ""
     assert f"exceeds the carry-range limit t+ - t- <= {MAX_CARRY_RANGE}" in err
     assert peak < 1 << 20
+
+
+def test_carry_raw_terms_in_linear_time(capsys):
+    # one set bit in 400,001: raw's terms come from one pass over the
+    # bits, where a shift per bit took 5.4 s
+    spec = "raw" + _decimal(2**400000)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "carry", spec, "--a", "1", "--s", "1", "--n", "8")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "weight: 0" in out
 
 
 def test_carry_range_at_the_limit_is_accepted(capsys):

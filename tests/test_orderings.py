@@ -15,7 +15,7 @@ from mersexp import (
     to_bits,
     to_r_matrix,
 )
-from mersexp.orderings import _COPIES, _SHORT_ROW, _decimate, _plan
+from mersexp.orderings import _SHORT_ROW, _decimate, _plan
 
 
 def bits_of(value, n):
@@ -189,7 +189,7 @@ def test_matrix_matches_definition_on_long_words(n, r):
     ids=["d1", "d-ge-m-bracken-leander", "d5-m1601"],
 )
 def test_byte_decimation_long_words(n, r):
-    # words past the 256-entry short path, decimated in byte slices:
+    # words past the 512-entry short path, decimated in byte slices:
     # d = 1; d > 1 with m <= d (n = 4r); d > 1 with m > d
     rng = random.Random(n)
     word = bits_of(rng.randrange(2**n - 1), n)
@@ -270,9 +270,9 @@ def _check_plan(seq, step):
     m = len(seq)
     out, copies, slices = _reads(seq, _plan(m, step))
     assert out == _decimated(seq, step), step
-    # a strand of m entries takes O(sqrt(m)) slices and at most
-    # max(_COPIES * m, _SHORT_ROW**2) bytes of copies
-    assert copies <= max(_COPIES, _SHORT_ROW**2 // m), step
+    # a strand of m entries takes O(sqrt(m)) slices and one budget of
+    # _SHORT_ROW**2 bytes (256 KB) of copies, or one copy past it
+    assert copies <= max(1, _SHORT_ROW**2 // m), step
     assert slices <= 2 * isqrt(m), step
 
 
@@ -290,8 +290,8 @@ def test_decimation_of_every_step_past_the_short_rows(m):
 def test_decimation_at_edge_strides(m):
     # g = -step mod m: the smallest strides, g near m/q for small q,
     # near sqrt(m), and at m/phi, whose continued fraction has only 1s
-    # (convergents that approach g/m the slowest).  Past m = 65,536 four
-    # copies pass 256 KB, and the plan reads small strides from one copy
+    # (convergents that approach g/m the slowest).  Past m = 65,536
+    # fewer than four copies fit the 256 KB budget, two at m = 131,071
     root, phi = isqrt(m), (1 + 5**0.5) / 2
     gs = {1, 2, 46, (m - 1) // 2, (m + 1) // 2, root, root + 1, int(m / phi)}
     for q in (3, 7, 100):
@@ -304,8 +304,8 @@ def test_decimation_at_edge_strides(m):
 
 
 def test_plan_reads_large_strides_at_2_20_from_one_copy():
-    # past 256 KB a copy costs more than the slices it saves: at
-    # m = 2^20 - 3, four copies made g = 1000 about twice as slow
+    # a second copy would pass the 256 KB budget: at m = 2^20 - 3,
+    # four copies made g = 1000 about twice as slow
     m = 1048573
     for g in (2, 46, 1000, 1023, 1024):
         for step in (m - g, g):
