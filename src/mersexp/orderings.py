@@ -13,7 +13,9 @@ the convergents of the continued fraction of the step over the strand
 length, so a strand of m entries takes at most 2*sqrt(m) slices (a
 median 0.2*sqrt(m) over random steps at m = 16,001) and at most 256 KB
 of copies, or the strand itself when it is longer; the comment at
-_SHORT_ROW has the cut-offs and the costs.
+_SHORT_ROW has the cut-offs and the costs.  The same plan decimates a
+list of ints within a budget of copies its caller sets: sbox._powers
+reads the powers of a field generator this way.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ class RMatrix(_Record):
 # one slice copy each: the two cost the same near m = 1.5*d for d <= 32,
 # beyond m = 3*d at d = 128.  Up to _SHORT_ROW a strand is every g-th
 # entry of g copies of itself, one slice of at most 256 KB with no plan
-# to work out.  On a Xeon core with Python 3.11 that takes a median
+# to work out (a list takes this path while m*m is within its budget).
+# On a Xeon core with Python 3.11 that takes a median
 # 1.0 us at m = 64 and 6.6 us at m = 512, and _plan with _decimate's
 # walk 6.3 and 10.1 us; they break even near m = 768 (13.5 us, but g
 # copies reach 590 KB there), and the walk wins from m = 1024 (17
@@ -95,8 +98,12 @@ class RMatrix(_Record):
 _SHORT_ROW = 512
 
 
-def _plan(m: int, step: int) -> tuple[int, int, int, int]:
-    """How _decimate reads a length-m strand decimated by step.
+def _plan(
+    m: int, step: int, budget: int = _SHORT_ROW**2
+) -> tuple[int, int, int, int]:
+    """How _decimate reads a length-m strand decimated by step, making
+    at most budget entries of copies, or one copy of a longer strand:
+    _SHORT_ROW**2 bytes (256 KB, the bound of the short rows) for bytes.
 
     Returns (g, q, h, copies), g = -step mod m.  Output entry j is
     seq[j*g % m], so the entries j, j + q, j + 2q, ... lie h = q*g mod m
@@ -106,14 +113,14 @@ def _plan(m: int, step: int) -> tuple[int, int, int, int]:
     any q below the next one (best approximations), so the plan looks at
     their O(log m) values only and keeps the q of fewest slices.  Each q
     takes the copies that read every run in one slice, q slices, within
-    one budget of _SHORT_ROW**2 bytes (256 KB, the bound of the short
-    rows); past it a run breaks where the copies end, q + |h|/copies
-    slices.
+    the budget; past it a run breaks where the copies end, q +
+    |h|/copies slices.  A strand with m*m <= budget is one slice of g
+    copies, with no plan to work out.
     """
     g = -step % m
-    if m <= _SHORT_ROW:  # one slice of g copies
+    if m * m <= budget:  # one slice of g copies
         return g, 1, g, g
-    cap = max(1, _SHORT_ROW**2 // m)
+    cap = max(1, budget // m)
     best, plan = m, (g, 1, g, 1)
     q0, q, num, den = 0, 1, m, g
     while q < best:  # no later candidate costs less than its q
@@ -132,8 +139,12 @@ def _plan(m: int, step: int) -> tuple[int, int, int, int]:
     return plan
 
 
-def _decimate(seq: bytes, plan: tuple[int, int, int, int]) -> bytearray:
-    """[seq[(-j*step) % m] for j < m], m = len(seq), plan = _plan(m, step).
+def _decimate(
+    seq: bytes | list[int], plan: tuple[int, int, int, int]
+) -> bytes | bytearray | list[int]:
+    """[seq[(-j*step) % m] for j < m], m = len(seq) >= 2, plan =
+    _plan(m, step, budget): bytes or a bytearray for a byte strand, a
+    list for a list.
 
     Each run j, j + q, ... of the output reads copies of seq upwards by
     |h|: from its first j up when h > 0, from its last j (in [m - q, m))
@@ -141,11 +152,12 @@ def _decimate(seq: bytes, plan: tuple[int, int, int, int]) -> bytearray:
     on from the same residue in the first copy.
     """
     g, q, h, copies = plan
+    if q == 1 and copies == g:  # one slice of g copies
+        return (seq * g)[::g]
     m = len(seq)
-    if m <= _SHORT_ROW:
-        return bytearray((seq * g)[::g])
     span = copies * m
-    src, out = seq * copies, bytearray(m)
+    src = seq * copies
+    out = [0] * m if isinstance(seq, list) else bytearray(m)
     if h > 0:
         starts, end, stride = range(q), m, q
     else:

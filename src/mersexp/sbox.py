@@ -19,6 +19,11 @@ Up to n = _LIST_MAX_N = 16 the tables and scans are plain Python lists;
 above it they are numpy uint32 arrays, and numpy is imported on the
 first such call, so importing this module (and the package) does not
 load it.  power_map returns an array('I') at every n.
+
+The inverse check runs in exponent order: over x = g^i, x^l is exp at
+i*l mod 2^n - 1, so the powers of all x are the exp table decimated by
+l, read in strided slices (orderings._plan) on the list path and in
+chunks of indices on the numpy path.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from itertools import chain
 from math import gcd
 from operator import floordiv, xor
 
+from .orderings import _decimate, _plan
 from .residues import (
     ExponentFamily,
     _Record,
@@ -61,6 +67,12 @@ _LIST_MAX_N = 16
 # uint64 index stays at 512 KB whatever n is; larger chunks leave their
 # freed index on the heap, which then stays in RSS.
 _CHUNK = 1 << 16
+# The list path decimates the exp table within this many list slots of
+# copies (32 KB of pointers): a slot costs about a hundred times a byte
+# to copy.  At 32,768 slots the inverse check was 1.2-1.8 times as slow
+# at n = 8 to 10; 1,024 to 4,096 time the same within the noise (2-core
+# host, Python 3.11), and 4,096 reads strands up to m = 64 in one slice.
+_LIST_COPIES = 4096
 
 
 def _gf2_mulmod(a: int, b: int, poly: int, n: int) -> int:
@@ -244,6 +256,24 @@ def _tables(
     return exp, log
 
 
+def _powers(exp: list[int], l: int) -> list[int]:
+    """[exp[i*l % o] for i < o], o = len(exp): the powers (g^i)^l in the
+    order of exp, which is exp decimated by l.
+
+    With d = gcd(l, o) the sequence has period m = o/d: exp[::d]
+    decimated by l/d (prime to m), repeated d times.  The decimation
+    reads strided slices of a few copies of the strand (orderings._plan).
+    """
+    o = len(exp)
+    d = gcd(l, o)
+    if d == 1:
+        return _decimate(exp, _plan(o, -l, _LIST_COPIES))
+    strand = exp[::d]
+    if d < o:
+        strand = _decimate(strand, _plan(o // d, -(l // d), _LIST_COPIES))
+    return strand * d
+
+
 def power_map(l: int, ctx: FieldContext) -> array:
     """Full-domain table of x -> x^l over GF(2^n); entry 0 is 0.
 
@@ -358,21 +388,35 @@ def verify_compositional_inverse(l: int, l_inv: int, ctx: FieldContext) -> bool:
     """Whether x -> x^l_inv undoes x -> x^l on every element of GF(2^n).
 
     Checked both functionally over the field and as l * l_inv = 1 mod
-    2^n - 1; the two views must agree.
+    2^n - 1; the two views must agree.  The field check runs in
+    exponent order: for each x = g^i (0 maps to 0 at every l), exp at
+    log[x^l] * l_inv must give back exp[i], so every nonzero element goes
+    through both tables.  The list path decimates the exp table
+    (_powers); above _LIST_MAX_N numpy checks _CHUNK exponents at a time.
     """
     if l < 1 or l_inv < 1:
         raise ValueError("exponents must be positive")
-    modular = (l * l_inv) % ctx.order == 1
-    inv, fwd = power_map(l_inv, ctx), power_map(l, ctx)
+    order = ctx.order
+    modular = (l * l_inv) % order == 1
+    exp, log = _tables(ctx)
     if ctx.n <= _LIST_MAX_N:
-        functional = list(map(inv.__getitem__, fwd)) == list(range(ctx.size))
+        fwd, inv = _powers(exp, l), _powers(exp, l_inv)
+        functional = list(map(inv.__getitem__, map(log.__getitem__, fwd))) == exp
     else:
         import numpy as np
 
-        inv, fwd = (np.frombuffer(t, dtype=np.uint32) for t in (inv, fwd))
-        functional = bool(np.array_equal(
-            inv[fwd], np.arange(ctx.size, dtype=np.uint32)
-        ))
+        l, l_inv = l % order, l_inv % order
+        functional = True
+        for lo in range(0, order, _CHUNK):
+            hi = min(lo + _CHUNK, order)
+            index = np.arange(lo, hi, dtype=np.uint64)
+            index *= l
+            index %= order
+            index = np.multiply(log[exp[index]], l_inv, dtype=np.uint64)
+            index %= order
+            if not np.array_equal(exp[index], exp[lo:hi]):
+                functional = False
+                break
     if modular != functional:
         raise RuntimeError(
             "field evaluation disagrees with modular arithmetic; "

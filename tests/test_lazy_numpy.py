@@ -92,6 +92,19 @@ def test_analyze_to_n16_runs_without_numpy(n, invertible, dec, bits):
     }
 
 
+def test_inverse_check_to_n16_runs_without_numpy():
+    # the check reads the list tables of the field in exponent order
+    proc = python(
+        "import sys\n"
+        "from mersexp.sbox import FieldContext, verify_compositional_inverse\n"
+        "ctx = FieldContext(16)\n"
+        "print(verify_compositional_inverse(7, pow(7, -1, ctx.order), ctx),\n"
+        "      verify_compositional_inverse(7, 7, ctx), 'numpy' in sys.modules)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False", "False"]
+
+
 def test_analyze_loads_numpy_and_keeps_its_output():
     # above n = 16 the tables and the scan are numpy arrays
     stderr, result = _analyze_57(17)

@@ -16,6 +16,7 @@ from mersexp import (
     to_r_matrix,
 )
 from mersexp.orderings import _SHORT_ROW, _decimate, _plan
+from mersexp.sbox import _LIST_COPIES
 
 
 def bits_of(value, n):
@@ -301,6 +302,19 @@ def test_decimation_at_edge_strides(m):
         for step in (m - g, g):  # g and -g
             if gcd(step, m) == 1:
                 _check_plan(seq, step)
+
+
+def test_list_decimation_matches_the_bytes():
+    # the field layer decimates lists of ints within its own copy budget;
+    # a byte strand keeps its plan, and both read the same entries
+    rng = random.Random(3000)
+    for m in range(2, 3001):
+        seq = rng.randbytes(m)
+        steps = {rng.randrange(1, m) for _ in range(40)} if m > 2 else {1}
+        for step in [s for s in sorted(steps) if gcd(s, m) == 1][:20]:
+            want = list(_decimate(seq, _plan(m, step)))
+            got = _decimate(list(seq), _plan(m, step, _LIST_COPIES))
+            assert got == want, (m, step)
 
 
 def test_plan_reads_large_strides_at_2_20_from_one_copy():

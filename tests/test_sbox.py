@@ -14,6 +14,7 @@ from mersexp import (
     verify_compositional_inverse,
 )
 from mersexp import sbox
+from mersexp.orderings import _plan
 from mersexp.sbox import (
     MAX_FIELD_N,
     is_irreducible,
@@ -175,6 +176,55 @@ def test_numpy_power_map_across_gather_chunks():
         if x < ctx.size:
             expected = sbox._gf2_powmod(x, l, ctx.reduction_polynomial, ctx.n)
             assert table[x] == expected, x
+
+
+def test_powers_are_the_exp_table_decimated():
+    # every l in [1, 2^n - 1] up to n = 8, 40 at random above, with the
+    # plan shapes each must cover
+    seen = set()
+    for n in range(2, 17):
+        exp, _ = sbox._tables(FieldContext(n))
+        o = len(exp)
+        ls = range(1, o + 1)
+        if n > 8:
+            ls = random.Random(n).sample(ls, 40)
+        for l in ls:
+            want = [exp[i * l % o] for i in range(o)]
+            assert sbox._powers(exp, l) == want, (n, l)
+            d = gcd(l, o)
+            m = o // d
+            _, _, h, copies = _plan(m, -(l // d), sbox._LIST_COPIES)
+            seen |= {
+                ("gcd > 1", d > 1),
+                ("l = o", l == o),
+                ("h < 0", h < 0),
+                ("capped copies", m * m > sbox._LIST_COPIES
+                 and copies == max(1, sbox._LIST_COPIES // m)),
+            }
+    assert {shape for shape, hit in seen if hit} == {
+        "gcd > 1", "l = o", "h < 0", "capped copies"
+    }
+
+
+@pytest.mark.parametrize("list_max_n", [sbox._LIST_MAX_N, 1], ids=["lists", "numpy"])
+def test_inverse_check_catches_a_corrupted_log_table(monkeypatch, list_max_n):
+    # swap the logs of two elements that lead no Frobenius orbit, so a
+    # check of the orbit leaders alone would miss it
+    ctx = FieldContext(9)
+    lead = sbox._orbits(ctx)[0]
+    assert 2 not in lead and 6 not in lead
+    sbox._tables.cache_clear()
+    sbox._orbits.cache_clear()
+    monkeypatch.setattr(sbox, "_LIST_MAX_N", list_max_n)
+    try:
+        exp, log = sbox._tables(ctx)
+        x, y = exp[2], exp[6]
+        log[x], log[y] = log[y], log[x]
+        with pytest.raises(RuntimeError, match="tables are broken"):
+            verify_compositional_inverse(5, pow(5, -1, ctx.order), ctx)
+    finally:
+        sbox._tables.cache_clear()
+        sbox._orbits.cache_clear()
 
 
 def test_irreducible_table_entries_are_minimal():
