@@ -19,14 +19,14 @@ the other carries from it, so the carry word is unique when it exists;
 solving the recurrence both decides the congruence and produces a
 certificate for it.
 
-The solver and verify_congruence's cross-check pack a word into one
-integer, a lane of w bytes (base B = 256^w) per position.  The check
-recomputes every s[i] = T[i] - 2*c[i] + c[i-1] at once, on lanes that
-keep each per-lane difference, at most 2*(t_+ - t_-) - 1, below B/2:
-then the integers are equal only if every lane is.  The solved word
-is kept as one signed byte (c mod 256) per carry whenever every carry
-fits one, and as a tuple otherwise; the check packs its lanes from
-those bytes by flipping their sign bits.
+The solver and the one certificate check, _certificate_fault, pack a
+word into one integer, a lane of w bytes (base B = 256^w) per
+position.  The check recomputes every s[i] = T[i] - 2*c[i] + c[i-1] at
+once, on lanes that keep each per-lane difference, at most
+2*(t_+ - t_-) - 1, below B/2: then the integers are equal only if
+every lane is.  A word is kept as one signed byte (c mod 256) per
+carry whenever every carry fits one, and as a tuple otherwise; the
+check packs its lanes from those bytes by flipping their sign bits.
 """
 
 from __future__ import annotations
@@ -190,27 +190,36 @@ def _lanes(bits: bytes, width: int) -> int:
     return int.from_bytes(lanes, "little")
 
 
+def _in_range(word: bytes | tuple[int, ...], lo: int, hi: int) -> bool:
+    """Whether every carry of a signed-byte or tuple word lies in [lo, hi]."""
+    if isinstance(word, bytes):  # delete the bytes of [lo, hi] mod 256
+        spanned = _FLIP_SIGN[max(lo + 128, 0) : hi + 129]
+        return not word.translate(None, spanned)
+    return lo <= min(word) <= max(word) <= hi
+
+
 def solve_carries(
     form: SignedPowerForm, a: BitSequence, s: BitSequence
 ) -> CarrySequence:
     """Find the unique carry word certifying s = l*a mod 2^n - 1.
 
     The seed identity gives the only possible final carry c[n-1] by one
-    division.  When it divides, the word exists: with T[i] = sum_j t_j
-    a[i-j], 2^(m+1) * c[m] = c[n-1] + sum_{i <= m} 2^i * (T[i] - s[i])
-    is an exact multiple and keeps every carry in [t_-, t_+ - 1].  The
-    whole word is then read off one more division instead of n steps:
-    with one lane of w bytes per position (base B = 256^w, wide enough
-    for any carry), the recurrence packs into
+    division, and that division alone decides: it raises CongruenceError
+    when it leaves a remainder, which is exactly the case s != l*a.  When
+    it divides, the word exists: with T[i] = sum_j t_j a[i-j], 2^(m+1) *
+    c[m] = c[n-1] + sum_{i <= m} 2^i * (T[i] - s[i]) is an exact multiple
+    and keeps every carry in [t_-, t_+ - 1].  The whole word is then read
+    off one more division instead of n steps: with one lane of w bytes
+    per position (base B = 256^w, wide enough for any carry), the
+    recurrence packs into
 
         (2 - B) * C = D - c[n-1] * (B^n - 1)
 
     where C and D hold c[i] and T[i] - s[i] in lane i.  The words' bytes
     are used as they are: a lane of w bytes is a spread-out byte, the
     top B^n = 2^(8wn) a shift and the repunit (B^n - 1)/(B - 1) lanes
-    of ones.  Raises CongruenceError when a division leaves a
-    remainder, a carry falls outside [t_-, t_+ - 1] or the word does
-    not close on its seed, which is exactly the case s != l*a.
+    of ones.  The true word solves it, so the division returns that: a
+    remainder or a stray carry here is a bug (RuntimeError).
     """
     if a.n != s.n:
         raise ValueError(f"length mismatch: a has {a.n} bits, s has {s.n}")
@@ -218,7 +227,7 @@ def solve_carries(
     n = a.n
     total = _rotations(form.terms, a.value, n, 1)
     seed, rem = divmod(total - s.value, (1 << n) - 1)
-    if rem or not lo <= seed <= hi:
+    if rem:
         raise CongruenceError(
             "no carry word closes the cycle: the congruence does not hold"
         )
@@ -232,27 +241,50 @@ def solve_carries(
     word, rem = divmod(seed * (top - 1) - packed, (1 << lane) - 2)
     word += bias * _lanes(b"\x01" * n, width)  # lane i holds c[i] + bias
     if rem or not 0 <= word < top:
-        raise CongruenceError(
-            "no carry word solves the recurrence: "
-            "the congruence does not hold"
-        )
+        raise RuntimeError("packed carry division is inexact; this is a bug")
     raw = word.to_bytes(n * width, "little")
-    last = int.from_bytes(raw[-width:], "little") - bias
     if small:
-        stray = raw.translate(None, bytes(range(lo + bias, hi + bias + 1)))
         carries = raw.translate(_FLIP_SIGN)  # c[i] mod 256 in byte i
     else:
         carries = tuple(
             int.from_bytes(raw[i : i + width], "little") - bias
             for i in range(0, n * width, width)
         )
-        stray = not lo <= min(carries) <= max(carries) <= hi
-    if stray or last != seed:
-        raise CongruenceError(
-            "the carry word leaves its range or does not close the cycle: "
-            "the congruence does not hold"
-        )
+    last = int.from_bytes(raw[-width:], "little") - bias
+    if last != seed or not _in_range(carries, lo, hi):
+        raise RuntimeError("carries leave their range or seed; this is a bug")
     return CarrySequence(n, carries)
+
+
+def _certificate_fault(
+    form: SignedPowerForm, a: BitSequence, s: BitSequence, c: CarrySequence
+) -> str | None:
+    """What keeps c from certifying s = l*a mod 2^n - 1, or None if
+    nothing: c must lie in [t_-, t_+ - 1] and reproduce s, the integer
+        sum_j t_j * rot_j(A) - 2*C + rot_1(C) + bias * (B^n - 1)/(B - 1)
+    equal to S, where lane i of A, S and C holds a[i], s[i], c[i] + bias.
+    """
+    n = a.n
+    if not n == s.n == c.n:
+        return f"lengths differ: a has {n} bits, s {s.n}, c {c.n} carries"
+    lo, hi = form.t_minus, form.t_plus - 1
+    if not _in_range(c.word, lo, hi):
+        return "carry word leaves its range"
+    width = (2 * (hi - lo) + 1).bit_length() // 8 + 1  # B > 2 * max |d[i]|
+    if width == 1:  # [lo, hi] fits a signed byte, so c.word is bytes
+        carries = int.from_bytes(c.word.translate(_FLIP_SIGN), "little")
+        bias = 128
+    else:
+        raw = b"".join((ci - lo).to_bytes(width, "little") for ci in c.carries)
+        carries, bias = int.from_bytes(raw, "little"), -lo
+    recomputed = (
+        _rotations(form.terms, _lanes(a.word, width), n, 8 * width)
+        + _rotations(((0, -2), (1, 1)), carries, n, 8 * width)
+        + bias * _lanes(b"\x01" * n, width)
+    )
+    if recomputed != _lanes(s.word, width):
+        return "carry word does not reproduce s"
+    return None
 
 
 def verify_congruence(
@@ -260,46 +292,13 @@ def verify_congruence(
 ) -> CarrySequence:
     """Decide s = l*a mod 2^n - 1 and return the certifying carries.
 
-    Solves the recurrence, then recomputes s from (l, a, c) as a final
-    cross-check on lanes of w bytes, B = 256^w: the integer
-        sum_j t_j * rot_j(A) - 2*C + rot_1(C) + bias * (B^n - 1)/(B - 1)
-    must equal S, where lane i of A, S and C holds a[i], s[i], c[i] + bias.
-    Lane i of the difference, T[i] - 2*c[i] + c[i-1] - s[i], is at most
-    2*(t_+ - t_-) - 1 in size for carries in [t_-, t_+ - 1]; w keeps that
-    below B/2, so the integers are equal only if every lane is.  Raises
-    CongruenceError when the congruence fails, RuntimeError when the
-    solved word leaves its range or does not reproduce s.
+    Solves, then checks the word as carry_constraints_check does: raises
+    CongruenceError when the congruence fails, RuntimeError on a bug.
     """
     result = solve_carries(form, a, s)
-    lo, hi = form.t_minus, form.t_plus - 1
-    width = (2 * (hi - lo) + 1).bit_length() // 8 + 1  # B > 2 * max |d[i]|
-    carries, bias = _carry_lanes(result, lo, hi, width)
-    n, lane = a.n, 8 * width
-    recomputed = (
-        _rotations(form.terms, _lanes(a.word, width), n, lane)
-        + _rotations(((0, -2), (1, 1)), carries, n, lane)
-        + bias * _lanes(b"\x01" * n, width)
-    )
-    if recomputed != _lanes(s.word, width):
-        raise RuntimeError("carry word does not reproduce s; this is a bug")
+    if fault := _certificate_fault(form, a, s, result):
+        raise RuntimeError(f"{fault}; this is a bug")
     return result
-
-
-def _carry_lanes(c, lo: int, hi: int, width: int) -> tuple[int, int]:
-    """(C, bias) with c[i] + bias in lane i of C; c must lie in [lo, hi]."""
-    stray = RuntimeError("carry word leaves its range; this is a bug")
-    if width == 1:  # [lo, hi] fits a signed byte: a word in range is bytes
-        if not isinstance(c.word, bytes):
-            raise stray
-        raw = c.word.translate(_FLIP_SIGN)  # c[i] + 128 in byte i
-        if raw.translate(None, bytes(range(lo + 128, hi + 129))):
-            raise stray
-        return int.from_bytes(raw, "little"), 128
-    carries = c.carries
-    if not lo <= min(carries) <= max(carries) <= hi:
-        raise stray
-    raw = b"".join((ci - lo).to_bytes(width, "little") for ci in carries)
-    return int.from_bytes(raw, "little"), -lo
 
 
 class CarryReport(_Record):
@@ -322,13 +321,14 @@ def carry_constraints_check(
 ) -> CarryReport:
     """Check the extra constraints a kasami carry word must satisfy.
 
-    Requires that c actually solves the recurrence for (form, a, s) and
-    that form is the three-term kasami shape with parameter r.
+    Requires the three-term kasami form with parameter r.  c is checked
+    without solving, as verify_congruence checks a solved word, and a
+    ValueError names what keeps it from certifying s = l*a.
     """
     if form != canonical_form(ExponentFamily("kasami", r)):
         raise ValueError(f"not a kasami form with parameter {r}")
-    if solve_carries(form, a, s) != c:
-        raise ValueError("carry word does not solve the recurrence for (a, s)")
+    if fault := _certificate_fault(form, a, s, c):
+        raise ValueError(fault)
     n, carries = c.n, c.carries
     w = sum(carries)
     pair_ok = all(

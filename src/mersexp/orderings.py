@@ -156,7 +156,7 @@ def _decimate(
         return (seq * g)[::g]
     m = len(seq)
     span = copies * m
-    src = seq * copies
+    src = seq if copies == 1 else seq * copies  # seq * 1 copies a list
     out = [0] * m if isinstance(seq, list) else bytearray(m)
     if h > 0:
         starts, end, stride = range(q), m, q

@@ -263,7 +263,7 @@ def test_criterion_9_degree_corollaries():
     _report(9, "degree bounds exact/attained as stated for gcd(r,n)=1, n <= 32", t0)
 
 
-def test_criterion_10_round_trips_and_isomorphism():
+def test_criterion_10_round_trips_and_isomorphism(monkeypatch):
     t0 = time.perf_counter()
     rng = random.Random(0x5EED)
     for _ in range(1000):
@@ -274,16 +274,45 @@ def test_criterion_10_round_trips_and_isomorphism():
         assert from_r_matrix(matrix) == word
         assert sum(sum(row) for row in matrix.entries) == word.weight()
 
-    from mersexp.sbox import catalog_lookup
+    from mersexp import sbox
+    from mersexp.sbox import catalog_lookup, verify_compositional_inverse
 
-    for n in (6, 8):
+    closed_forms = {"gold": gold_inverse, "kasami": kasami_inverse}
+
+    def two_polynomials_agree(n):
+        """Uniformity of every catalog row and the field check of every
+        invertible gold/kasami row against its inverse, under the
+        smallest and the next irreducible polynomial; returns how many
+        inverses were checked."""
         poly2 = smallest_irreducible(n) + 2
         while not is_irreducible(poly2, n):
             poly2 += 2
         ctx1, ctx2 = FieldContext(n), FieldContext(n, poly2)
+        inverses = 0
         for entry in catalog_lookup(n):
             l = entry.exponent.value
             assert differential_uniformity(l, ctx1) == differential_uniformity(
                 l, ctx2
             )
+            fam = entry.family
+            if fam.kind in closed_forms and entry.invertible:
+                inv = closed_forms[fam.kind](fam.param, n).inverse.value
+                assert verify_compositional_inverse(l, inv, ctx1) is True
+                assert verify_compositional_inverse(l, inv, ctx2) is True
+                inverses += 1
+        return inverses
+
+    # odd n draws gold and kasami rows from the APN table, even n = 6
+    # from the 4-uniform one; n = 8 has none
+    assert sum(two_polynomials_agree(n) for n in (6, 7, 8, 9)) == 12
+    # the numpy tables, forced below sbox._LIST_MAX_N
+    sbox._tables.cache_clear()
+    sbox._orbits.cache_clear()
+    monkeypatch.setattr(sbox, "_LIST_MAX_N", 1)
+    try:
+        assert isinstance(sbox._tables(FieldContext(9))[0], np.ndarray)
+        assert two_polynomials_agree(9) == 5
+    finally:
+        sbox._tables.cache_clear()
+        sbox._orbits.cache_clear()
     _report(10, "1000 reindexing round-trips + two-polynomial agreement", t0)

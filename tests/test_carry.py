@@ -137,6 +137,77 @@ def test_cross_check_catches_a_corrupted_word(monkeypatch):
             verify_congruence(form, a, s)
 
 
+def test_constraints_check_names_the_fault_of_a_corrupted_word():
+    # the word is judged as given, by the check verify_congruence makes:
+    # a carry moved by +-1 (still in range), out of range, or beyond a
+    # signed byte is refused with a ValueError naming the fault
+    form = canonical_form(ExponentFamily("kasami", 3))
+    n = 101
+    a = bits_of(random.Random(5).randrange((1 << n) - 1), n)
+    s = bits_of(form.value() * a.value % ((1 << n) - 1), n)
+    good = solve_carries(form, a, s)
+    assert carry_constraints_check(good, form, 3, a, s).weight_identity
+    lo, hi = form.t_minus, form.t_plus - 1
+    for step, message in (
+        (1, "does not reproduce s"),
+        (-1, "does not reproduce s"),
+        (hi - lo + 1, "leaves its range"),
+        (300, "leaves its range"),  # beyond a signed byte
+    ):
+        c = list(good.carries)
+        c[n // 2] += step if lo <= c[n // 2] + step <= hi else -step
+        with pytest.raises(ValueError, match=message) as caught:
+            carry_constraints_check(CarrySequence(n, c), form, 3, a, s)
+        assert not isinstance(caught.value, CongruenceError)
+    short = CarrySequence(n - 1, good.carries[:-1])
+    with pytest.raises(ValueError, match="lengths differ"):
+        carry_constraints_check(short, form, 3, a, s)
+
+
+def test_constraints_check_accepts_the_enumerated_word():
+    # seeded kasami (r, n, a): the one word seed enumeration finds passes
+    # the check unsolved, with the report the solved word gets
+    rng = random.Random(48)
+    for _ in range(60):
+        n = rng.randrange(4, 49)
+        r = rng.randrange(1, n)
+        form = canonical_form(ExponentFamily("kasami", r))
+        a = bits_of(rng.randrange((1 << n) - 1), n)
+        s = bits_of(form.value() * a.value % ((1 << n) - 1), n)
+        (word,) = enumerated_carries(form, a, s)
+        report = carry_constraints_check(CarrySequence(n, word), form, r, a, s)
+        solved = solve_carries(form, a, s)
+        assert report == carry_constraints_check(solved, form, r, a, s)
+        assert report.carry_weight == sum(word)
+
+
+def test_a_fault_in_the_packed_solver_is_a_bug_not_a_failed_congruence(
+    monkeypatch,
+):
+    # flip one lane of S in the solver's packed division: the congruence
+    # holds, so this is reported as a bug (RuntimeError), never as
+    # CongruenceError, which the CLI would turn into exit 4
+    import mersexp.carry as carry_mod
+    from mersexp.cli import main
+
+    form = canonical_form(ExponentFamily("kasami", 3))
+    a, s = bits_of(78, 7), bits_of(1, 7)
+    lanes = carry_mod._lanes
+
+    def planted(bits, width):
+        value = lanes(bits, width)
+        return value ^ (1 << 8 * width * 3) if bits == s.word else value
+
+    monkeypatch.setattr(carry_mod, "_lanes", planted)
+    for call in (
+        lambda: solve_carries(form, a, s),
+        lambda: verify_congruence(form, a, s),
+        lambda: main(["carry", "kasami3", "--a", "78", "--s", "1", "--n", "7"]),
+    ):
+        with pytest.raises(RuntimeError, match="this is a bug"):
+            call()
+
+
 def test_carry_sequence_contract():
     # signed bytes in .word while every carry fits one, a tuple otherwise;
     # .carries is the tuple view, however the word was given

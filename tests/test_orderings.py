@@ -249,28 +249,31 @@ def _decimated(seq, step):
 
 
 def _reads(seq, plan):
-    """_decimate's output, the copies of seq it made and the slices it
-    read from them."""
-    made = []
+    """_decimate's output, the copies of seq (bytes or a list) it made,
+    0 when it read seq itself, and the slices it read from either."""
+    kind, made, slices = type(seq), [], []
 
-    class Copies(bytes):
+    class Copies(kind):
         def __getitem__(self, key):
-            made.append(key)
-            return bytes.__getitem__(self, key)
+            slices.append(key)
+            return kind.__getitem__(self, key)
 
-    class Strand(bytes):
+    class Strand(Copies):
         def __mul__(self, copies):
             made.append(copies)
-            return Copies(bytes(self) * copies)
+            return Copies(kind(self) * copies)
 
     out = _decimate(Strand(seq), plan)
-    return out, made[0], len(made) - 1
+    assert len(made) <= 1
+    return out, made[0] if made else 0, len(slices)
 
 
 def _check_plan(seq, step):
     m = len(seq)
-    out, copies, slices = _reads(seq, _plan(m, step))
+    plan = _plan(m, step)
+    out, copies, slices = _reads(seq, plan)
     assert out == _decimated(seq, step), step
+    assert copies == (plan[3] if plan[3] > 1 else 0), step
     # a strand of m entries takes O(sqrt(m)) slices and one budget of
     # _SHORT_ROW**2 bytes (256 KB) of copies, or one copy past it
     assert copies <= max(1, _SHORT_ROW**2 // m), step
@@ -315,6 +318,21 @@ def test_list_decimation_matches_the_bytes():
             want = list(_decimate(seq, _plan(m, step)))
             got = _decimate(list(seq), _plan(m, step, _LIST_COPIES))
             assert got == want, (m, step)
+
+
+def test_one_copy_plan_reads_a_list_strand_itself():
+    # from n = 12 up the field layer's list strands pass its copy budget,
+    # and a plan of one copy must read the list as it is, not copy it
+    rng = random.Random(4095)
+    for m in (4095, 65535):
+        assert _LIST_COPIES // m < 2 and m * m > _LIST_COPIES
+        seq = [rng.randrange(256) for _ in range(m)]
+        steps = [2, 4, m - 2, rng.randrange(2, m), rng.randrange(2, m)]
+        for step in [s for s in steps if gcd(s, m) == 1]:
+            plan = _plan(m, step, _LIST_COPIES)
+            out, copies, slices = _reads(seq, plan)
+            assert plan[3] == 1 and copies == 0 and slices >= 1, (m, step)
+            assert out == list(_decimated(bytes(seq), step)), (m, step)
 
 
 def test_plan_reads_large_strides_at_2_20_from_one_copy():
