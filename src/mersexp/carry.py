@@ -102,13 +102,12 @@ def signed_form(terms: Mapping[int, int]) -> SignedPowerForm:
 def canonical_form(f: ExponentFamily) -> SignedPowerForm:
     """The low-coefficient signed form of a family, from its terms.
 
-    Defined for gold, kasami, bracken_leander and raw (the plain binary
-    expansion of l); the other families have no signed terms.
+    Every family but inverse has signed terms (raw's are the plain
+    binary expansion of l); inverse's exponent depends on n.
     """
-    terms = _FAMILIES[f.kind][0]
-    if terms is None:
+    if f.kind == "inverse":
         raise ValueError(f"no canonical signed form for family {f.kind!r}")
-    return signed_form(terms(f.param))
+    return signed_form(_FAMILIES[f.kind](f.param, None))
 
 
 # flips a byte's sign bit: c + 128 <-> c mod 256 for a signed byte c

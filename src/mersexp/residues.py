@@ -231,34 +231,26 @@ def cyclotomic_canonical(l: Residue) -> Residue:
     return Residue(l.n, best)
 
 
-# Every exponent family, keyed by kind: (signed terms, exponent).  The
-# paper's families and raw give their terms {j: t_j}, meaning l = sum_j
-# t_j * 2^j, from the parameter; the others give their exponent from
-# the parameter and n.
+# Every exponent family, keyed by kind: its signed terms {j: t_j},
+# meaning l = sum_j t_j * 2^j, from the parameter and n.  Every family
+# but inverse, whose exponent depends on n, has signed terms from the
+# parameter alone: those are canonical_form's.
 _FAMILIES = {
-    "gold": (lambda r: {r: 1, 0: 1}, None),
-    "kasami": (lambda r: {2 * r: 1, r: -1, 0: 1}, None),
-    "bracken_leander": (lambda r: {2 * r: 1, r: 1, 0: 1}, None),
+    "gold": lambda r, _: {r: 1, 0: 1},
+    "kasami": lambda r, _: {2 * r: 1, r: -1, 0: 1},
+    "bracken_leander": lambda r, _: {2 * r: 1, r: 1, 0: 1},
     # 2^(n-1) - 1 for odd n, its shift 2^n - 2 for even n
-    "inverse": (
-        None,
-        lambda _, n: (1 << (n - 1)) - 1 if n % 2 else (1 << n) - 2,
-    ),
-    "dobbertin": (
-        None,
-        lambda r, _: (1 << 4 * r) + (1 << 3 * r) + (1 << 2 * r) + (1 << r) - 1,
-    ),
-    "welch": (None, lambda t, _: (1 << t) + 3),
-    "niho": (
-        None,
-        lambda t, _: (1 << t)
-        + (1 << (t // 2 if t % 2 == 0 else (3 * t + 1) // 2))
-        - 1,
-    ),
-    "raw": (
-        lambda l: {j: 1 for j, bit in enumerate(bin(l)[:1:-1]) if bit == "1"},
-        None,
-    ),
+    "inverse": lambda _, n: {n - 1: 1, 0: -1} if n % 2 else {n: 1, 1: -1},
+    "dobbertin": lambda r, _: {4 * r: 1, 3 * r: 1, 2 * r: 1, r: 1, 0: -1},
+    # 2^t + 3; at t = 1 the terms 2 + 2 + 1 would collide
+    "welch": lambda t, _: {t: 1, 1: 1, 0: 1} if t > 1 else {2: 1, 0: 1},
+    # 2^t + 2^s - 1 with s = t/2 (t even) or (3t + 1)/2 (t odd)
+    "niho": lambda t, _: {
+        t: 1, ((3 * t + 1) // 2 if t % 2 else t // 2): 1, 0: -1
+    },
+    "raw": lambda l, _: {
+        j: 1 for j, bit in enumerate(bin(l)[:1:-1]) if bit == "1"
+    },
 }
 
 
@@ -287,12 +279,8 @@ def family_exponent(f: ExponentFamily, n: int) -> Residue:
     Pure evaluation: table side conditions (parity, gcd constraints)
     are not enforced here.
     """
-    terms, exponent = _FAMILIES[f.kind]
-    if terms is None:
-        value = exponent(f.param, n)
-    else:
-        value = sum(t << j for j, t in terms(f.param).items())
-    return Residue(n, fold_mod(value, n))
+    terms = _FAMILIES[f.kind](f.param, n)
+    return Residue(n, fold_mod(sum(t << j for j, t in terms.items()), n))
 
 
 def is_invertible(l: int, n: int) -> bool:

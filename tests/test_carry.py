@@ -311,8 +311,45 @@ def test_canonical_forms():
     raw = canonical_form(ExponentFamily("raw", 5))
     assert dict(raw.terms) == {2: 1, 0: 1}
 
+    welch = canonical_form(ExponentFamily("welch", 3))
+    assert dict(welch.terms) == {3: 1, 1: 1, 0: 1}
+    # 2^1 + 3 = 5: the three terms would collide at t = 1
+    welch = canonical_form(ExponentFamily("welch", 1))
+    assert dict(welch.terms) == {2: 1, 0: 1}
+
+    niho = canonical_form(ExponentFamily("niho", 3))  # s = (3t + 1)/2 = 5
+    assert dict(niho.terms) == {5: 1, 3: 1, 0: -1}
+    assert (niho.t_plus, niho.t_minus) == (2, -1)
+    niho = canonical_form(ExponentFamily("niho", 4))  # s = t/2 = 2
+    assert dict(niho.terms) == {4: 1, 2: 1, 0: -1}
+
+    dobbertin = canonical_form(ExponentFamily("dobbertin", 2))
+    assert dict(dobbertin.terms) == {8: 1, 6: 1, 4: 1, 2: 1, 0: -1}
+    assert (dobbertin.t_plus, dobbertin.t_minus) == (4, -1)
+
+    # the inverse family's exponent depends on n, so it has no form
     with pytest.raises(ValueError):
-        canonical_form(ExponentFamily("welch", 3))
+        canonical_form(ExponentFamily("inverse"))
+
+
+@pytest.mark.parametrize("kind", ["welch", "niho", "dobbertin"])
+def test_apn_family_forms_match_seed_enumeration(kind):
+    rng = random.Random(11)
+    for param in range(1, 7):
+        form = canonical_form(ExponentFamily(kind, param))
+        for n in range(2, 25):
+            mask = (1 << n) - 1
+            a = rng.randrange(mask)
+            for s in (form.value() * a % mask, rng.randrange(mask)):
+                bits_a, bits_s = bits_of(a, n), bits_of(s, n)
+                closing = enumerated_carries(form, bits_a, bits_s)
+                if (form.value() * a - s) % mask == 0:
+                    c = verify_congruence(form, bits_a, bits_s)
+                    assert [c.carries] == closing
+                else:
+                    assert closing == []
+                    with pytest.raises(CongruenceError):
+                        verify_congruence(form, bits_a, bits_s)
 
 
 def test_signed_form_validation():

@@ -131,6 +131,10 @@ def test_exit_not_invertible(capsys):
     code, _, err = run(capsys, "inverse", "gold", "--r", "1", "--n", "4")
     assert code == EXIT_NOT_INVERTIBLE
     assert "not invertible" in err
+    # n = 2 is a ring (2^1 + 1 = 3 is its 0), not a bad parameter
+    code, _, err = run(capsys, "inverse", "gold", "--r", "1", "--n", "2")
+    assert code == EXIT_NOT_INVERTIBLE
+    assert "not invertible" in err
     code, _, _ = run(capsys, "inverse", "raw", "--l", "3", "--n", "4")
     assert code == EXIT_NOT_INVERTIBLE
 
@@ -364,6 +368,44 @@ def test_audit_mismatch_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "audit", "--n-min", "4", "--n-max", "5")
     assert code == EXIT_AUDIT_MISMATCH
     assert "MISMATCH" in out
+
+
+def test_audit_reports_a_broken_certificate(capsys, monkeypatch):
+    # a closed form that fails its own check is a failure the sweep
+    # records and goes past, not a traceback
+    import mersexp.closed_form as closed_form_mod
+
+    checked = run_audit(4, 8)["checked"]
+    ndeven_rows = closed_form_mod._ndeven_rows
+
+    def broken_rows(m, d):
+        (head, *rest), tag = ndeven_rows(m, d)
+        return [head[:-1] + bytes([1 - head[-1]]), *rest], tag
+
+    monkeypatch.setattr(closed_form_mod, "_ndeven_rows", broken_rows)
+    fault = (
+        "internal consistency failure: KASAMI_NDEVEN_6K2 at r=2, n=4 "
+        "does not invert its exponent"
+    )
+    code, out, _ = run(capsys, "audit", "--n-min", "4", "--n-max", "8")
+    assert code == EXIT_AUDIT_MISMATCH
+    assert f"MISMATCH kasami r=2 n=4 certificate: got {fault}" in out
+    code, out, _ = run(
+        capsys, "--format", "json", "audit", "--n-min", "4", "--n-max", "8"
+    )
+    assert code == EXIT_AUDIT_MISMATCH
+    res = json.loads(out)["result"]
+    assert res["checked"] == checked and res["failed"] == len(res["failures"])
+    assert res["passed"] == checked - res["failed"] > 0
+    assert {
+        "family": "kasami",
+        "r": 2,
+        "n": 4,
+        "got": fault,
+        "expected": None,
+        "kind": "certificate",
+    } in res["failures"]
+    assert all(f["kind"] == "certificate" for f in res["failures"])
 
 
 def test_analyze(capsys):

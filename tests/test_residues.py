@@ -8,6 +8,7 @@ from mersexp import (
     NotInvertibleError,
     Residue,
     binary_weight,
+    canonical_form,
     cyclotomic_canonical,
     cyclotomic_shift,
     ext_euclid_inverse,
@@ -162,6 +163,26 @@ def test_family_exponent_more():
     assert family_exponent(ExponentFamily("inverse"), 6).value == 62
     assert family_exponent(ExponentFamily("dobbertin", 1), 5).value == 29
     assert family_exponent(ExponentFamily("raw", 100), 5).value == 100 % 31
+
+
+def test_family_terms_match_the_defining_integers():
+    def niho_s(t):
+        return t // 2 if t % 2 == 0 else (3 * t + 1) // 2
+
+    defining = {
+        "welch": lambda t, n: 2**t + 3,
+        "niho": lambda t, n: 2**t + 2 ** niho_s(t) - 1,
+        "dobbertin": lambda r, n: sum(2 ** (k * r) for k in (4, 3, 2, 1)) - 1,
+        "inverse": lambda _, n: 2 ** (n - 1) - 1 if n % 2 else 2**n - 2,
+    }
+    for kind, value in defining.items():
+        for param in [0] if kind == "inverse" else range(1, 40):
+            family = ExponentFamily(kind, param)
+            for n in range(2, 131):
+                expected = value(param, n) % (2**n - 1)
+                assert family_exponent(family, n).value == expected
+            if kind != "inverse":
+                assert canonical_form(family).value() == value(param, None)
 
 
 def test_family_validation():
