@@ -7,18 +7,16 @@ column blocks selected by a handful of derived parameters:
     e = least positive residue of the inverse of r/d mod m,
     s, t from m = s*e + t (0 <= t < e),  k = e // 6,  u = t // 6.
 
-The kasami dispatch runs: m even first; then reflection to n - r when
-e is even (the two inverses differ by the cyclotomic shift -2r, so one
-of the pair always has odd e); then m divisible by 3; then d = 1; then
-the general odd-m case.  A reflected case keeps its partner's rows
-(built at n - r) with column j taken from the partner's column
-(2 - j) mod m.  Every case hands its rows to _certified, which
-assembles the value, re-verifies it against the ring and ships it
-with the r-matrices of the inverse and of its certifying carry word.
+_kasami_case decides the kasami case, its tag and its parameters from
+this arithmetic alone; its row builder then makes the rows.  Every case
+hands its rows to _certified, which assembles the value, re-verifies it
+against the ring and ships it with the r-matrices of the inverse and of
+its certifying carry word.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from math import gcd
 
 from .carry import canonical_form, solve_carries
@@ -226,19 +224,18 @@ def _kasami_weight(n: int, d: int, m: int, e: int) -> int:
     return (n - c * d + 2) // 2
 
 
-def _gcd1_sequence(m: int, e: int) -> tuple[bytes, str]:
-    """Decimated inverse word for gcd(r, m) = 1, m odd, e odd.
+def _gcd1_rows(m: int, e: int, d: int) -> list[bytes]:
+    """The one row for d = 1, m and e odd.
 
-    Returns (sequence of length m, case tag).  The sequence is in
-    r-ordering: the inverse is sum(seq[i] * 2^(-i*r)).
+    The row is the decimated inverse word in r-ordering: the inverse
+    is sum(row[i] * 2^(-i*r)).  The ND3 and NDODD rows reuse it at
+    modulus m.
     """
     k, rem = divmod(e, 6)
     if rem == 1:
         seq = b"\1" + b"\1\0" * ((m - e) // 2) + b"\1\1\1\0\0\0" * k
-        tag = "E6K1"
     elif rem == 5:
         seq = b"\0" + b"\0\1" * ((m - e + 2) // 2) + b"\1\1" + _X1 * k
-        tag = "E6K5"
     else:  # rem == 3
         s, t = divmod(m, e)
         u = t // 6
@@ -260,7 +257,6 @@ def _gcd1_sequence(m: int, e: int) -> tuple[bytes, str]:
             if seq[0] != 0:
                 raise RuntimeError("block layout clash at position 0")
             seq[0] = 1
-            tag = "E6K3_T6U1"
         elif t % 6 == 2:
             z = b"\1\0" * (3 * u)
             seq = (
@@ -272,7 +268,6 @@ def _gcd1_sequence(m: int, e: int) -> tuple[bytes, str]:
                 + b"\1"
                 + x2 * (k - u)
             )
-            tag = "E6K3_T6U2"
         elif t % 6 == 4:
             z = b"\1\0" * (3 * u)
             seq = (
@@ -285,7 +280,6 @@ def _gcd1_sequence(m: int, e: int) -> tuple[bytes, str]:
                 + x1 * ((e - 6 * u - 9) // 6)
                 + b"\0"
             )
-            tag = "E6K3_T6U4"
         else:  # t % 6 == 5
             z = x1 + b"\0\1" * ((e - 7 - 6 * u) // 2)
             seq = (
@@ -298,43 +292,34 @@ def _gcd1_sequence(m: int, e: int) -> tuple[bytes, str]:
                 + x1 * u
                 + z
             )
-            tag = "E6K3_T6U5"
-    return seq, tag
+    return [seq]
 
 
-def _nd3_rows(m: int, e: int, d: int) -> tuple[list[bytes], str]:
+def _nd3_rows(m: int, e: int, d: int) -> list[bytes]:
     """Rows for m = n/d divisible by 3 (m = 3 mod 6, e = 1 or 5 mod 6).
 
-    The last row is the gcd = 1 word at modulus m; the other d - 1 rows
+    The last row is the gcd = 1 row at modulus m; the other d - 1 rows
     share one six-periodic pattern.
     """
-    a2, tag = _gcd1_sequence(m, e)
+    last = _gcd1_rows(m, e, 1)
+    if d == 1:
+        return last
     k = e // 6
     if e % 6 == 1:
-        a1 = (
-            b"\0\0"
-            + b"\0\0\1\1\1\0" * ((m - e - 2) // 6)
-            + _X1 * k
-            + b"\0"
-        )
+        a1 = b"\0\0" + b"\0\0\1\1\1\0" * ((m - e - 2) // 6) + _X1 * k + b"\0"
     else:  # e % 6 == 5
-        a1 = (
-            b"\0\1\0\0\0"
-            + b"\1\1\1\0\0\0" * ((m - e - 4) // 6)
-            + b"\1\1\0\0"
-            + _X2 * k
-        )
-    return [a1] * (d - 1) + [a2], f"ND3_{tag}"
+        head = b"\0\1\0\0\0" + b"\1\1\1\0\0\0" * ((m - e - 4) // 6)
+        a1 = head + b"\1\1\0\0" + _X2 * k
+    return [a1] * (d - 1) + last
 
 
-def _ndodd_rows(m: int, e: int, d: int) -> tuple[list[bytes], str]:
+def _ndodd_rows(m: int, e: int, d: int) -> list[bytes]:
     """Rows for m = n/d odd, not divisible by 3, d > 1.
 
-    The first row is the gcd = 1 word at modulus m; the other d - 1
+    The first row is the gcd = 1 row at modulus m; the other d - 1
     rows share a pattern picked by (e mod 6, m mod 6) for e = 1, 5 and
-    by (e mod 6, t mod 6) for e = 3 mod 6.
+    by (e mod 6, t mod 6) for e = 3 mod 6: cases A-D and E-H.
     """
-    a1, _ = _gcd1_sequence(m, e)
     k = e // 6
     s, t = divmod(m, e)
     u = t // 6
@@ -342,28 +327,27 @@ def _ndodd_rows(m: int, e: int, d: int) -> tuple[list[bytes], str]:
     x1, x3 = _X1, _X2
     y = b"\0\0\0" + x3 * k + b"\0\1\1" + x1 * k
     z = b"\0\1\1" + x1 * k + b"\0\0\0" + x3 * k
-    if e % 6 == 1 and m % 6 == 1:
-        a2, case = x1 * v + b"\0", "A"
-    elif e % 6 == 1 and m % 6 == 5:
-        a2, case = b"\1\1\0\0\0\1" * v + b"\1\1\0\0\0", "B"
-    elif e % 6 == 5 and m % 6 == 1:
-        a2, case = b"\0" + x1 * v, "C"
-    elif e % 6 == 5 and m % 6 == 5:
-        a2, case = b"\0\1\1" + x1 * v + b"\0\0", "D"
-    elif t % 6 == 1:
-        a2, case = x1 * u + y * (s // 2) + b"\0", "E"
-    elif t % 6 == 2:
+    if e % 6 == 1 and m % 6 == 1:  # A
+        a2 = x1 * v + b"\0"
+    elif e % 6 == 1 and m % 6 == 5:  # B
+        a2 = b"\1\1\0\0\0\1" * v + b"\1\1\0\0\0"
+    elif e % 6 == 5 and m % 6 == 1:  # C
+        a2 = b"\0" + x1 * v
+    elif e % 6 == 5 and m % 6 == 5:  # D
+        a2 = b"\0\1\1" + x1 * v + b"\0\0"
+    elif t % 6 == 1:  # E
+        a2 = x1 * u + y * (s // 2) + b"\0"
+    elif t % 6 == 2:  # F
         a2 = b"\0\1" + x1 * u + y * ((s - 1) // 2) + b"\0\0\0" + x3 * k
-        case = "F"
-    elif t % 6 == 4:
+    elif t % 6 == 4:  # G
         head = b"\0\0\0" + x3 * u + z * ((s - 1) // 2)
-        a2, case = head + b"\0\1\1" + x1 * k + b"\0", "G"
-    else:  # t % 6 == 5
-        a2, case = b"\0\1\1\0\0" + x3 * u + z * (s // 2), "H"
-    return [a1] + [a2] * (d - 1), f"NDODD_CASE_{case}"
+        a2 = head + b"\0\1\1" + x1 * k + b"\0"
+    else:  # H, t % 6 == 5
+        a2 = b"\0\1\1\0\0" + x3 * u + z * (s // 2)
+    return _gcd1_rows(m, e, 1) + [a2] * (d - 1)
 
 
-def _ndeven_rows(m: int, d: int) -> tuple[list[bytes], str]:
+def _ndeven_rows(m: int, e: int, d: int) -> list[bytes]:
     """Rows for m = n/d even (then 3 does not divide m and e is odd).
 
     After the head row, rows alternate between the two phases of the
@@ -371,40 +355,43 @@ def _ndeven_rows(m: int, d: int) -> tuple[list[bytes], str]:
     """
     if m % 6 == 2:
         a1 = b"\1\1" + b"\1\1\0\0\0\1" * ((m - 2) // 6)
-        odd_row = b"\1\0" * (m // 2)
-        even_row = b"\0\1" * (m // 2)
-        tag = "NDEVEN_6K2"
+        odd_row, even_row = b"\1\0" * (m // 2), b"\0\1" * (m // 2)
     else:  # m % 6 == 4
         a1 = b"\1\0\1\1" + b"\1\0\0\0\1\1" * ((m - 4) // 6)
-        odd_row = b"\0\1" * (m // 2)
-        even_row = b"\1\0" * (m // 2)
-        tag = "NDEVEN_6K4"
-    rows = [a1] + [odd_row if i % 2 else even_row for i in range(1, d)]
-    return rows, tag
+        odd_row, even_row = b"\0\1" * (m // 2), b"\1\0" * (m // 2)
+    return [a1] + [odd_row if i % 2 else even_row for i in range(1, d)]
 
 
-def _kasami_closed_form(r: int, n: int) -> tuple[list[bytes], str, int]:
-    """Dispatch: (r-matrix rows, case tag, weight)."""
+def _kasami_case(r: int, n: int) -> tuple[str, int, int, int, Callable]:
+    """The kasami case at invertible (r, n): (tag, d, m, e, build).
+
+    d = gcd(r, n) and m = n/d.  e is made odd: an even e (m is then
+    odd) becomes m - e, the e of the partner parameter n - r, and the
+    tag ends in _REFLECTED.  The branches are tried in order: m even,
+    3 | m, d = 1, then the other odd m.  build(m, e, d) returns the
+    case's rows; a reflected case's are the partner's, whose columns
+    kasami_inverse maps.
+    """
     d = gcd(r, n)
     m = n // d
     e = e_value(r, n)
+    suffix = ""
+    if e % 2 == 0:
+        e, suffix = m - e, "_REFLECTED"
+    t = m % e
+    e6 = f"E6K{e % 6}_T6U{t % 6}" if e % 6 == 3 else f"E6K{e % 6}"
     if m % 2 == 0:
-        rows, tag = _ndeven_rows(m, d)
-    elif e % 2 == 0:
-        # the partner exponent with parameter n - r has odd e; the two
-        # inverses differ by the cyclotomic shift -2r, which in the rows
-        # takes column j from the partner's column (2 - j) mod m
-        rows, tag, weight = _kasami_closed_form(n - r, n)
-        rows = [row[2::-1] + row[:2:-1] for row in rows]
-        return rows, tag + "_REFLECTED", weight
+        tag, build = f"NDEVEN_6K{m % 6}", _ndeven_rows
     elif m % 3 == 0:
-        rows, tag = _nd3_rows(m, e, d)
+        tag, build = f"ND3_{e6}", _nd3_rows
     elif d == 1:
-        seq, tag = _gcd1_sequence(n, e)
-        rows, tag = [seq], f"GCD1_{tag}"
-    else:
-        rows, tag = _ndodd_rows(m, e, d)
-    return rows, tag, _kasami_weight(n, d, m, e)
+        tag, build = f"GCD1_{e6}", _gcd1_rows
+    elif e % 6 == 3:  # E-H by t mod 6 = 1, 2, 4, 5
+        tag, build = f"NDODD_CASE_{'EF GH'[t % 6 - 1]}", _ndodd_rows
+    else:  # A-D by (e, m) mod 6 = (1, 1), (1, 5), (5, 1), (5, 5)
+        case = "ABCD"[e % 6 // 2 + m % 6 // 4]
+        tag, build = f"NDODD_CASE_{case}", _ndodd_rows
+    return tag + suffix, d, m, e, build
 
 
 def kasami_inverse(r: int, n: int) -> InverseResult:
@@ -413,13 +400,18 @@ def kasami_inverse(r: int, n: int) -> InverseResult:
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
     r = _kasami_r(r, n, warnings)
-    rows, tag, weight = _kasami_closed_form(r, n)
+    tag, d, m, e, build = _kasami_case(r, n)
+    rows = build(m, e, d)
+    if tag.endswith("_REFLECTED"):
+        # the two inverses differ by the cyclotomic shift -2r, which in
+        # the rows takes column j from the partner's column (2 - j) mod m
+        rows = [row[2::-1] + row[:2:-1] for row in rows]
     return _certified(
         ExponentFamily("kasami", r),
         n,
         rows,
         f"KASAMI_{tag}",
-        weight,
+        _kasami_weight(n, d, m, e),
         warnings,
     )
 
@@ -455,21 +447,15 @@ def bl_inverse(r: int) -> InverseResult:
 def kasami_degree_bounds(r: int, n: int) -> tuple[int, int, bool]:
     """Bounds on the weight (= algebraic degree) of the kasami inverse.
 
-    Returns (lower, upper, attained) from _kasami_weight.  The weight
-    is pinned, lower = upper, when m = n/d is even or divisible by 3;
-    else lower and upper are its values at e = 3 and e = 1, and
-    attained tells whether the odd representative of e is 3.
+    Returns (lower, upper, attained).  lower and upper are the case's
+    _kasami_weight at e = 3 and at e = 1; they coincide, pinning the
+    weight, when m = n/d is even or divisible by 3, where the weight
+    does not read e.  attained tells whether they differ and the case's
+    odd e is 3.
     """
-    r = _kasami_r(r, n, [])
-    d = gcd(r, n)
-    m = n // d
-    e = e_value(r, n)
-    e_odd = e if e % 2 == 1 else m - e
-    if m % 2 == 0 or m % 3 == 0:
-        w = _kasami_weight(n, d, m, e_odd)
-        return w, w, False
+    _, d, m, e, _ = _kasami_case(_kasami_r(r, n, []), n)
     lower, upper = _kasami_weight(n, d, m, 3), _kasami_weight(n, d, m, 1)
-    return lower, upper, e_odd == 3
+    return lower, upper, lower < upper and e == 3
 
 
 # (n, r) -> (family, shift) for the cases the rules below miss, (4, 2),

@@ -378,9 +378,9 @@ def test_audit_reports_a_broken_certificate(capsys, monkeypatch):
     checked = run_audit(4, 8)["checked"]
     ndeven_rows = closed_form_mod._ndeven_rows
 
-    def broken_rows(m, d):
-        (head, *rest), tag = ndeven_rows(m, d)
-        return [head[:-1] + bytes([1 - head[-1]]), *rest], tag
+    def broken_rows(m, e, d):
+        head, *rest = ndeven_rows(m, e, d)
+        return [head[:-1] + bytes([1 - head[-1]]), *rest]
 
     monkeypatch.setattr(closed_form_mod, "_ndeven_rows", broken_rows)
     fault = (

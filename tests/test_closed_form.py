@@ -1,4 +1,5 @@
 from math import gcd
+from time import perf_counter
 
 import pytest
 
@@ -27,7 +28,7 @@ from mersexp import (
     verify_congruence,
 )
 from mersexp.carry import canonical_form
-from mersexp.closed_form import _certified
+from mersexp.closed_form import _certified, _kasami_case
 
 
 def oracle(l, n):
@@ -251,6 +252,49 @@ def test_every_closed_form_case_to_n128():
         check(bl_inverse(r), bl, 4 * r, ExponentFamily("bracken_leander", r))
     assert len(ALL_CASE_LABELS) == 37
     assert labels == set(ALL_CASE_LABELS)
+
+
+def test_every_dispatch_regime_to_n400():
+    # a regime is a case tag with the builders' repeat counts
+    # k = e // 6, u = t // 6 and s = m // e at 0, 1 or more (s up to 4)
+    # and d = 1 or not; its smallest instance is pinned against the
+    # modular inverse.  No regime first appears in 400 <= n < 800.
+    first = {}
+    for n in range(4, 400):
+        for r in range(1, n):
+            if kasami_invertible(r, n):
+                tag, d, m, e, _ = _kasami_case(r, n)
+                s, t = divmod(m, e)
+                regime = (tag, min(e // 6, 2), t >= 6, min(s, 4), d == 1)
+                first.setdefault(regime, (n, r))
+    assert len(first) == 509
+    assert sum(n <= 128 for n, _ in first.values()) == 479
+    assert max(n for n, _ in first.values()) == 230
+    for (tag, *_), (n, r) in first.items():
+        res = kasami_inverse(r, n)
+        kasami = (1 << (2 * r)) - (1 << r) + 1
+        assert res.inverse.value == pow(kasami, -1, (1 << n) - 1)
+        assert res.case_label == f"KASAMI_{tag}"
+
+
+def test_kasami_case_is_arithmetic_at_any_n():
+    # the case and the degree bounds at n = 2^61 - 1, where no row is
+    # ever built; e = 3 attains the paper's n/3 lower bound
+    n = (1 << 61) - 1
+    for r in (2, 3, 1 << 40, pow(3, -1, n)):
+        best = 1.0
+        for _ in range(3):
+            start = perf_counter()
+            tag, d, m, e, _ = _kasami_case(r, n)
+            best = min(best, perf_counter() - start)
+        assert best < 1e-3
+        assert (d, m, e % 2) == (1, n, 1)
+        reflected = tag.endswith("_REFLECTED")
+        assert e * r % n == (n - 1 if reflected else 1)
+    # e = 2^60 reflects to 2^60 - 1 = 3 mod 6, and t = n mod e = 1
+    assert _kasami_case(2, n)[0] == "GCD1_E6K3_T6U1_REFLECTED"
+    lower, upper, attained = kasami_degree_bounds(pow(3, -1, n), n)
+    assert (lower, upper, attained) == (-(-n // 3), n // 2 + 1, True)
 
 
 def test_bl_examples():
