@@ -9,9 +9,9 @@ column blocks selected by a handful of derived parameters:
 
 _kasami_case decides the kasami case, its tag and its parameters from
 this arithmetic alone; its row builder then makes the rows.  Every case
-hands its rows to _certified, which assembles the value, re-verifies it
-against the ring and ships it with the r-matrices of the inverse and of
-its certifying carry word.
+hands its rows to _certified, which reads the word off them, proves it
+the inverse by solving its carry word and ships it with the r-matrices
+of the inverse and of that carry word.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from math import gcd
 from .carry import canonical_form, solve_carries
 from .orderings import (
     RMatrix,
-    _regular_word,
     e_value,
+    from_r_matrix,
     matrix_of_sequence,
     to_r_matrix,  # unused here; the traced benchmark wraps it by this name
 )
@@ -33,13 +33,11 @@ from .residues import (
     Residue,
     _known_bits,
     _Record,
-    _word_value,
     binary_weight,
     cyclotomic_shift,
     ext_euclid_inverse,
     family_exponent,
-    fold_mod,
-    mul_mod,
+    mul_mod,  # unused here; the traced benchmark wraps it by this name
     to_bits,  # unused here; the traced benchmark wraps it by this name
 )
 
@@ -92,8 +90,9 @@ def _certified(
     The rows must be d = gcd(r, n) rows of n/d bits; the value is the
     sum of 2^((i - j*r) mod n) over their ones, and the rows are the
     result's r-matrix.  A reflected kasami case passes its partner's
-    rows with column j taken from column (2 - j) mod m.  A wrong
-    layout, value or weight raises RuntimeError naming the label.
+    rows with column j taken from column (2 - j) mod m.  Solving the
+    carry word of l * inverse = 1 is the one congruence check.  A wrong
+    layout, entry, value or weight raises RuntimeError naming the label.
     """
     r = family.param
     try:
@@ -104,22 +103,21 @@ def _certified(
             f"internal consistency failure: {label} at r={r}, n={n} "
             f"has a block layout other than {d} rows of {n // d}"
         ) from None
-    word = _regular_word(r_matrix.flat, n, r)
-    inv = Residue(n, fold_mod(_word_value(word), n))
-    form = canonical_form(family)
-    if mul_mod(Residue(n, fold_mod(form.value(), n)), inv).value != 1:
+    one = _known_bits(n, b"\x01" + bytes(n - 1), 1)
+    try:  # a non-bit entry, the all-ones word or l * word != 1
+        bits = from_r_matrix(r_matrix)
+        carries = solve_carries(canonical_form(family), bits, one)
+    except ValueError:
         raise RuntimeError(
             f"internal consistency failure: {label} at r={r}, n={n} "
             "does not invert its exponent"
-        )
+        ) from None
+    inv = Residue(n, bits.value)
     if binary_weight(inv) != weight:
         raise RuntimeError(
             f"internal consistency failure: {label} at r={r}, n={n} "
             f"has weight {binary_weight(inv)}, formula says {weight}"
         )
-    bits = _known_bits(n, word, inv.value)
-    one = _known_bits(n, b"\x01" + bytes(n - 1), 1)
-    carries = solve_carries(form, bits, one)
     return InverseResult(
         inverse=inv,
         weight=weight,

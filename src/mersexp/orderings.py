@@ -172,22 +172,6 @@ def _decimate(
     return out
 
 
-def _regular_word(flat: bytes, n: int, r: int) -> bytearray:
-    """The bytes of the word whose r-matrix has these flat entries."""
-    d = gcd(n, r)
-    m, step = n // d, r // d
-    word = bytearray(n)
-    if m > d:
-        plan = _plan(m, pow(step, -1, m))
-        for i in range(d):
-            word[i::d] = _decimate(flat[i * m : (i + 1) * m], plan)
-    else:
-        for j in range(m):
-            b = -j * step % m * d
-            word[b : b + d] = flat[j::m]
-    return word
-
-
 def matrix_of_sequence(values: Sequence[int], n: int, r: int) -> RMatrix:
     """r-matrix of a length-n word of ints in [-128, 127] or signed bytes."""
     word = _signed_bytes(values)
@@ -214,8 +198,20 @@ def to_r_matrix(a: BitSequence, r: int) -> RMatrix:
 
 
 def from_r_matrix(m: RMatrix) -> BitSequence:
-    """The bit word of a binary r-matrix, the left inverse of to_r_matrix.
+    """The bit word of a binary r-matrix, the left inverse of to_r_matrix:
+    the closed forms read their inverse off its r-matrix this way.
 
     BitSequence rejects non-bits and, for canonicality, the all-ones word.
     """
-    return BitSequence(m.n, _regular_word(m.flat, m.n, m.r))
+    n, d = m.n, m.d
+    cols, step = n // d, m.r // d
+    word = bytearray(n)
+    if cols > d:
+        plan = _plan(cols, pow(step, -1, cols))
+        for i in range(d):
+            word[i::d] = _decimate(m.flat[i * cols : (i + 1) * cols], plan)
+    else:
+        for j in range(cols):
+            b = -j * step % cols * d
+            word[b : b + d] = m.flat[j::cols]
+    return BitSequence(n, word)

@@ -408,6 +408,37 @@ def test_audit_reports_a_broken_certificate(capsys, monkeypatch):
     assert all(f["kind"] == "certificate" for f in res["failures"])
 
 
+def test_audit_reports_a_non_bit_row_as_a_certificate_fault(
+    capsys, monkeypatch
+):
+    # a builder row with a byte other than 0 or 1 is the closed form's
+    # failure, labelled, not a bad parameter of the command
+    import mersexp.closed_form as closed_form_mod
+
+    ndeven_rows = closed_form_mod._ndeven_rows
+
+    def non_bit_rows(m, e, d):
+        head, *rest = ndeven_rows(m, e, d)
+        return [b"\x02" + head[1:], *rest]
+
+    monkeypatch.setattr(closed_form_mod, "_ndeven_rows", non_bit_rows)
+    code, out, _ = run(
+        capsys, "--format", "json", "audit", "--n-min", "4", "--n-max", "8"
+    )
+    assert code == EXIT_AUDIT_MISMATCH
+    res = json.loads(out)["result"]
+    assert {
+        "family": "kasami",
+        "r": 2,
+        "n": 4,
+        "got": "internal consistency failure: KASAMI_NDEVEN_6K2 at r=2, "
+        "n=4 does not invert its exponent",
+        "expected": None,
+        "kind": "certificate",
+    } in res["failures"]
+    assert all(f["kind"] == "certificate" for f in res["failures"])
+
+
 def test_analyze(capsys):
     code, out, _ = run(capsys, "analyze", "--l", "57", "--n", "7")
     assert code == 0

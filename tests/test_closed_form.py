@@ -69,6 +69,7 @@ def test_certified_faults_name_the_label():
         ([row, row], 4, "block layout"),
         ([flipped], 4, "does not invert"),
         ([[1] * 7], 4, "does not invert"),
+        ([[2, 1, 0, 1, 0, 1, 0]], 4, "does not invert"),  # not a bit
         ([row], 5, "has weight 4"),
     ]
     for rows, weight, fault in faults:
@@ -334,6 +335,30 @@ def test_degree_bounds_examples():
     assert kasami_degree_bounds(3, 7) == (3, 4, False)
     # n/d even: weight pinned at (n+2)/2
     assert kasami_degree_bounds(2, 8) == (5, 5, False)
+
+
+def test_n_third_bound_is_sharp_against_extended_euclid():
+    # odd n, gcd(r, n) = 1, every K_r^-1 by extended Euclid: weight
+    # (n + 1)/2 when 3 | n; otherwise the least weight is ceil(n/3),
+    # reached exactly at r = 3^-1 and n - 3^-1 mod n, and it is the
+    # lower bound kasami_degree_bounds gives at r = 3^-1
+    instances = 0
+    for n in range(5, 200, 2):
+        weights = {
+            r: binary_weight(oracle((1 << 2 * r) - (1 << r) + 1, n))
+            for r in range(1, n)
+            if gcd(r, n) == 1
+        }
+        instances += len(weights)
+        if n % 3 == 0:
+            assert set(weights.values()) == {(n + 1) // 2}, n
+            continue
+        least, third = -(-n // 3), pow(3, -1, n)
+        assert min(weights.values()) == least, n
+        attained = {r for r, w in weights.items() if w == least}
+        assert attained == {third, n - third}, n
+        assert kasami_degree_bounds(third, n)[0] == least, n
+    assert instances == 8148
 
 
 def test_degree_bounds_not_invertible():
