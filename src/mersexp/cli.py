@@ -26,11 +26,11 @@ from .carry import (
     solve_carries,
 )
 from .closed_form import (
-    bl_inverse,
-    gold_inverse,
-    gold_invertible,
-    kasami_inverse,
-    kasami_invertible,
+    _CLOSED_FORMS,
+    bl_inverse,  # unused here; the traced benchmark wraps it by this name
+    closed_form_inverse,
+    gold_inverse,  # unused here; the traced benchmark wraps it by this name
+    kasami_inverse,  # unused here; the traced benchmark wraps it by this name
 )
 from .orderings import matrix_of_sequence
 from .residues import (
@@ -69,24 +69,11 @@ MAX_AUDIT_N = 256
 # and write; above the interpreter's default cap of 4,300 digits
 _MAX_DIGITS = int(MAX_RING_N * log10(2)) + 1
 
-# the command line's families in help order: kind, least n, the (r, n)
-# its closed form covers and constructor (None for raw: extended Euclid);
-# each constructor looks its function up in this module when called, so
-# a wrapper bound to that name here is the one that runs
+# the command line's families in help order, each to its kind; a kind
+# in closed_form._CLOSED_FORMS has a closed form, raw has extended Euclid
 _FAMILIES = {
-    "gold": ("gold", 2, gold_invertible, lambda r, n: gold_inverse(r, n)),
-    "kasami": (
-        "kasami", 4, kasami_invertible, lambda r, n: kasami_inverse(r, n)
-    ),
-    "bl": (
-        "bracken_leander",
-        4,
-        lambda r, n: n == 4 * r and r % 2 == 1,
-        lambda r, n: bl_inverse(r),
-    ),
-    "raw": ("raw", None, None, None),
+    "gold": "gold", "kasami": "kasami", "bl": "bracken_leander", "raw": "raw"
 }
-_CONSTRUCTORS = {kind: make for kind, _, _, make in _FAMILIES.values() if make}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,7 +148,7 @@ def _parse_l_spec(
     any form.
     """
     spec = spec.strip().lower()
-    for prefix, (kind, *_) in _FAMILIES.items():
+    for prefix, kind in _FAMILIES.items():
         if spec.startswith(prefix) and spec[len(prefix) :].isdigit():
             param = int(spec[len(prefix) :])
             if kind == "raw":  # raw's parameter is l itself, its terms l's bits
@@ -190,26 +177,29 @@ def _parse_l_spec(
 def run_audit(n_min: int, n_max: int) -> dict[str, object]:
     """Closed forms vs the extended-Euclid oracle over a range of n.
 
-    Sweeps every invertible gold/kasami instance with 1 <= r < n (n >= 2
-    for gold, n >= 4 for kasami) and every bracken-leander instance with
-    4r in range, checking the value against the oracle.  A closed form
-    that fails its own certificate (RuntimeError) is recorded as a
-    "certificate" failure with its message, and the sweep goes on.
+    Sweeps every (r, n) with 1 <= r < n that closed_form._CLOSED_FORMS
+    covers (every invertible gold and kasami instance, and
+    bracken-leander at n = 4r with r odd), checking the value against
+    the oracle.  A closed form that fails its own certificate
+    (RuntimeError) is recorded as a "certificate" failure with its
+    message, and the sweep goes on.
     """
     checked = 0
     failures: list[dict[str, object]] = []
-    for family, (kind, n_least, has_closed_form, make) in _FAMILIES.items():
-        if make is None:
+    for family, kind in _FAMILIES.items():
+        if kind not in _CLOSED_FORMS:
             continue
+        n_least, _, covers, _, _ = _CLOSED_FORMS[kind]
         for n in range(max(n_least, n_min), n_max + 1):
             for r in range(1, n):
-                if not has_closed_form(r, n):
+                if not covers(r, n):
                     continue
                 checked += 1
                 exponent = family_exponent(ExponentFamily(kind, r), n).value
                 expected = ext_euclid_inverse(exponent, n).value
                 try:
-                    got, what = make(r, n).inverse.value, "value"
+                    got = closed_form_inverse(kind, r, n).inverse.value
+                    what = "value"
                 except RuntimeError as exc:
                     got, expected, what = str(exc), None, "certificate"
                 if got != expected:
@@ -233,8 +223,8 @@ def run_audit(n_min: int, n_max: int) -> dict[str, object]:
 
 def _cmd_inverse(args: argparse.Namespace) -> dict[str, object]:
     family = args.family
-    kind, _, _, make = _FAMILIES[family]
-    if make is None:
+    kind = _FAMILIES[family]
+    if kind not in _CLOSED_FORMS:  # raw: the extended-Euclid oracle
         if args.l is None:
             raise ValueError("raw needs --l")
         if args.n is None:
@@ -251,17 +241,14 @@ def _cmd_inverse(args: argparse.Namespace) -> dict[str, object]:
         return _doc("inverse", inputs, result)
     if args.r is None:
         raise ValueError(f"{family} needs --r")
-    n = args.n
-    if kind == "bracken_leander":
-        if n is not None and n != 4 * args.r:
-            raise ValueError(
-                f"bracken-leander fixes n = 4r = {4 * args.r}, got n={n}"
-            )
-        n = 4 * args.r
-    elif n is None:
+    _, fixed_n, _, refusal, _ = _CLOSED_FORMS[kind]
+    n = args.n if fixed_n is None else fixed_n(args.r)
+    if n is None:
         raise ValueError(f"{family} needs --n")
+    if args.n not in (None, n):  # r fixes n, and --n asks for another
+        raise refusal(args.r, args.n)
     _check_limit(n, MAX_RING_N, "ring-size")
-    res = make(args.r, n)
+    res = closed_form_inverse(kind, args.r, n)
     result = {
         "inverse": _residue_doc(res.inverse.value, n),
         "weight": res.weight,
@@ -329,8 +316,8 @@ def _cmd_catalog(args: argparse.Namespace) -> dict[str, object]:
     for entry in catalog_lookup(args.n):
         fam = entry.family
         inverse_doc = None
-        if entry.invertible and fam.kind in _CONSTRUCTORS:
-            inverse = _CONSTRUCTORS[fam.kind](fam.param, args.n).inverse
+        if entry.invertible and fam.kind in _CLOSED_FORMS:
+            inverse = closed_form_inverse(fam.kind, fam.param, args.n).inverse
             inverse_doc = _residue_doc(inverse.value, args.n)
         entries.append(
             {

@@ -1,17 +1,21 @@
 """Closed-form inverses of gold, kasami and bracken-leander exponents.
 
-Every constructor assembles the inverse's r-matrix from fixed periodic
-column blocks selected by a handful of derived parameters:
+_CLOSED_FORMS is the one place that states which (r, n) each closed
+form covers and how its rows are made.  closed_form_inverse checks the
+input once against the kind's row, asks the row's case for the label,
+weight and rows, and hands the rows to _certified, which reads the word
+off them, proves it the inverse by solving its carry word and ships it
+with the r-matrices of the inverse and of that carry word.
+
+The rows are fixed periodic column blocks selected by a handful of
+derived parameters:
 
     d = gcd(r, n),  m = n/d,
     e = least positive residue of the inverse of r/d mod m,
     s, t from m = s*e + t (0 <= t < e),  k = e // 6,  u = t // 6.
 
 _kasami_case decides the kasami case, its tag and its parameters from
-this arithmetic alone; its row builder then makes the rows.  Every case
-hands its rows to _certified, which reads the word off them, proves it
-the inverse by solving its carry word and ships it with the r-matrices
-of the inverse and of that carry word.
+this arithmetic alone; its row builder then makes the rows.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .residues import (
     _known_bits,
     _Record,
     binary_weight,
-    cyclotomic_shift,
     ext_euclid_inverse,
     family_exponent,
     mul_mod,  # unused here; the traced benchmark wraps it by this name
@@ -43,6 +46,7 @@ from .residues import (
 
 __all__ = [
     "InverseResult",
+    "closed_form_inverse",
     "gold_invertible",
     "gold_inverse",
     "kasami_invertible",
@@ -63,18 +67,6 @@ class InverseResult(_Record):
 
     _fields = "inverse weight case_label r_matrix carry_matrix warnings"
     _defaults = {"warnings": ()}
-
-
-def _reduce_r(r: int, n: int, warnings: list[str]) -> int:
-    if r < 1:
-        raise ValueError(f"family parameter must be positive, got {r}")
-    if r >= n:
-        reduced = r % n
-        warnings.append(f"parameter r={r} reduced to {reduced} mod n={n}")
-        if reduced == 0:
-            raise ValueError(f"r={r} is a multiple of n={n}")
-        return reduced
-    return r
 
 
 def _certified(
@@ -140,35 +132,25 @@ def gold_invertible(r: int, n: int) -> bool:
     return (n // d) % 2 == 1
 
 
-def gold_inverse(r: int, n: int) -> InverseResult:
-    """Inverse of 2^r + 1 mod 2^n - 1, weight (n - d + 2) / 2.
+def _gold_refusal(r: int, n: int) -> NotInvertibleError:
+    return NotInvertibleError(
+        f"2^{r} + 1 is not invertible mod 2^{n} - 1 (n/gcd even)"
+    )
+
+
+def _gold_form(r: int, n: int) -> tuple[str, int, list[bytes]]:
+    """(label, weight, rows) of the gold inverse, weight (n - d + 2) / 2.
 
     The r-matrix has d - 1 identical rows with ones at even columns
     >= 2 and a last row with ones at column 0 and the odd columns; for
     d = 1 the single row gives sum(2^(2*i*r), i = 0 .. (n-1)/2).
     """
-    warnings: list[str] = []
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    r = _reduce_r(r, n, warnings)
-    if not gold_invertible(r, n):
-        raise NotInvertibleError(
-            f"2^{r} + 1 is not invertible mod 2^{n} - 1 (n/gcd even)"
-        )
     d = gcd(r, n)
     m = n // d
     top = b"\0" + b"\0\1" * (m // 2)  # m is odd
     bottom = b"\1" + b"\1\0" * (m // 2)
-    rows = [top] * (d - 1) + [bottom]
     label = "GOLD_GCD1" if d == 1 else "GOLD_GCDS"
-    return _certified(
-        ExponentFamily("gold", r),
-        n,
-        rows,
-        label,
-        (n - d + 2) // 2,
-        warnings,
-    )
+    return label, (n - d + 2) // 2, [top] * (d - 1) + [bottom]
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +172,10 @@ def kasami_invertible(r: int, n: int) -> bool:
     return r % 2 == 0 and d == gcd(3 * r, n)
 
 
-def _kasami_r(r: int, n: int, warnings: list[str]) -> int:
-    """r mod n, once 2^(2r) - 2^r + 1 is checked invertible mod 2^n - 1.
-
-    Raises ValueError for n < 2, r < 1 or r a multiple of n, and
-    NotInvertibleError when the exponent has no inverse.
-    """
-    if n < 2:
-        raise ValueError(f"ring parameter must be >= 2, got {n}")
-    r = _reduce_r(r, n, warnings)
-    if not kasami_invertible(r, n):
-        raise NotInvertibleError(
-            f"2^{2 * r} - 2^{r} + 1 is not invertible mod 2^{n} - 1"
-        )
-    return r
+def _kasami_refusal(r: int, n: int) -> NotInvertibleError:
+    return NotInvertibleError(
+        f"2^{2 * r} - 2^{r} + 1 is not invertible mod 2^{n} - 1"
+    )
 
 
 # the six-periodic blocks of the kasami rows, one byte per bit
@@ -368,7 +340,7 @@ def _kasami_case(r: int, n: int) -> tuple[str, int, int, int, Callable]:
     tag ends in _REFLECTED.  The branches are tried in order: m even,
     3 | m, d = 1, then the other odd m.  build(m, e, d) returns the
     case's rows; a reflected case's are the partner's, whose columns
-    kasami_inverse maps.
+    _kasami_form maps.
     """
     d = gcd(r, n)
     m = n // d
@@ -392,50 +364,109 @@ def _kasami_case(r: int, n: int) -> tuple[str, int, int, int, Callable]:
     return tag + suffix, d, m, e, build
 
 
-def kasami_inverse(r: int, n: int) -> InverseResult:
-    """Inverse of 2^(2r) - 2^r + 1 mod 2^n - 1 by case dispatch."""
-    warnings: list[str] = []
-    if n < 4:
-        raise ValueError(f"n must be >= 4, got {n}")
-    r = _kasami_r(r, n, warnings)
+def _kasami_form(r: int, n: int) -> tuple[str, int, list[bytes]]:
+    """(label, weight, rows) of the kasami inverse by case dispatch."""
     tag, d, m, e, build = _kasami_case(r, n)
     rows = build(m, e, d)
     if tag.endswith("_REFLECTED"):
         # the two inverses differ by the cyclotomic shift -2r, which in
         # the rows takes column j from the partner's column (2 - j) mod m
         rows = [row[2::-1] + row[:2:-1] for row in rows]
-    return _certified(
-        ExponentFamily("kasami", r),
-        n,
-        rows,
-        f"KASAMI_{tag}",
-        _kasami_weight(n, d, m, e),
-        warnings,
-    )
+    return f"KASAMI_{tag}", _kasami_weight(n, d, m, e), rows
 
 
 # ---------------------------------------------------------------------------
 # bracken-leander exponents 2^(2r) + 2^r + 1, n = 4r
 # ---------------------------------------------------------------------------
 
-def bl_inverse(r: int) -> InverseResult:
-    """Inverse of 2^(2r) + 2^r + 1 mod 2^(4r) - 1 for odd r.
+def _bl_n(r: int) -> int:
+    """The one ring of the bracken-leander closed form: n = 4r."""
+    return 4 * r
+
+
+def _bl_covers(r: int, n: int) -> bool:
+    return r > 0 and r % 2 == 1 and n == _bl_n(r)
+
+
+def _bl_refusal(r: int, n: int) -> ValueError:
+    if n != _bl_n(r):
+        return ValueError(
+            f"bracken-leander fixes n = 4r = {_bl_n(r)}, got n={n}"
+        )
+    return ValueError(f"parameter must be odd and positive, got {r}")
+
+
+def _bl_form(r: int, n: int) -> tuple[str, int, list[bytes]]:
+    """(label, weight, rows) of the bracken-leander inverse, r odd.
 
     The r-matrix has head row (1, 1, 1, 0), then alternating all-zero
     and all-one rows of width 4; the weight is 2r + 1 = (n + 2) / 2.
     """
-    if r < 1 or r % 2 == 0:
-        raise ValueError(f"parameter must be odd and positive, got {r}")
-    n = 4 * r
     rows = [b"\1\1\1\0"] + [b"\0\0\0\0", b"\1\1\1\1"] * (r // 2)
-    return _certified(
-        ExponentFamily("bracken_leander", r),
-        n,
-        rows,
-        "BL",
-        2 * r + 1,
-        [],
-    )
+    return "BL", 2 * r + 1, rows
+
+
+# ---------------------------------------------------------------------------
+# the table of closed forms, its one entry point and the constructors
+# ---------------------------------------------------------------------------
+
+# kind -> (least n, the n that r fixes or None, covers(r, n), the refusal
+# for any other (r, n), case(r, n) -> (label, weight, rows))
+_CLOSED_FORMS = {
+    "gold": (2, None, gold_invertible, _gold_refusal, _gold_form),
+    "kasami": (4, None, kasami_invertible, _kasami_refusal, _kasami_form),
+    "bracken_leander": (4, _bl_n, _bl_covers, _bl_refusal, _bl_form),
+}
+
+
+def _checked(kind: str, r: int, n: int, warnings: list[str]) -> int:
+    """r, once kind's closed form covers (r, n), else the row's refusal.
+
+    A free n needs n >= 2 and reads r >= 1 mod n, with a warning; a
+    multiple of n is refused.  A fixed n takes r as it is.
+    """
+    _, fixed_n, covers, refusal, _ = _CLOSED_FORMS[kind]
+    if fixed_n is None:
+        if n < 2:
+            raise ValueError(f"ring parameter must be >= 2, got {n}")
+        if r < 1:
+            raise ValueError(f"family parameter must be positive, got {r}")
+        if r >= n:
+            warnings.append(f"parameter r={r} reduced to {r % n} mod n={n}")
+            if r % n == 0:
+                raise ValueError(f"r={r} is a multiple of n={n}")
+            r %= n
+    if not covers(r, n):
+        raise refusal(r, n)
+    return r
+
+
+def closed_form_inverse(kind: str, r: int, n: int) -> InverseResult:
+    """The certified inverse of kind's exponent at (r, n), kind gold,
+    kasami or bracken_leander; a free n below the least n is refused."""
+    least_n, fixed_n, _, _, case = _CLOSED_FORMS[kind]
+    if fixed_n is None and n < least_n:
+        raise ValueError(f"n must be >= {least_n}, got {n}")
+    warnings: list[str] = []
+    r = _checked(kind, r, n, warnings)
+    label, weight, rows = case(r, n)
+    family = ExponentFamily(kind, r)
+    return _certified(family, n, rows, label, weight, warnings)
+
+
+def gold_inverse(r: int, n: int) -> InverseResult:
+    """Inverse of 2^r + 1 mod 2^n - 1, weight (n - gcd(r, n) + 2) / 2."""
+    return closed_form_inverse("gold", r, n)
+
+
+def kasami_inverse(r: int, n: int) -> InverseResult:
+    """Inverse of 2^(2r) - 2^r + 1 mod 2^n - 1 by case dispatch."""
+    return closed_form_inverse("kasami", r, n)
+
+
+def bl_inverse(r: int) -> InverseResult:
+    """Inverse of 2^(2r) + 2^r + 1 mod 2^(4r) - 1 for odd r."""
+    return closed_form_inverse("bracken_leander", r, _bl_n(r))
 
 
 # ---------------------------------------------------------------------------
@@ -451,25 +482,9 @@ def kasami_degree_bounds(r: int, n: int) -> tuple[int, int, bool]:
     does not read e.  attained tells whether they differ and the case's
     odd e is 3.
     """
-    _, d, m, e, _ = _kasami_case(_kasami_r(r, n, []), n)
+    _, d, m, e, _ = _kasami_case(_checked("kasami", r, n, []), n)
     lower, upper = _kasami_weight(n, d, m, 3), _kasami_weight(n, d, m, 1)
     return lower, upper, lower < upper and e == 3
-
-
-# (n, r) -> (family, shift) for the cases the rules below miss, (4, 2),
-# or give as K_1, which at n = 5 is the gold exponent 3 = 2^1 + 1
-_SPORADIC = {
-    (4, 2): (ExponentFamily("kasami", 2), 2),
-    (5, 2): (ExponentFamily("gold", 1), 2),
-    (5, 3): (ExponentFamily("gold", 1), 1),
-}
-
-# n = 5d, r = b*d: b -> (shift, m) in units of d for the shifted K_m; the
-# shift 2d - 2r of b = 3, 4 is reduced mod n
-_FIVE_D = {1: (2, 2), 2: (2, 1), 3: (1, 1), 4: (4, 2)}
-
-# 3 | n, r = c*n/3: c -> shift + 1 in units of n/3, with gold(n/3)
-_THIRDS = {1: 3, 2: 2}
 
 
 def kasami_inverse_equivalence(
@@ -479,32 +494,27 @@ def kasami_inverse_equivalence(
 
     Returns (family, shift) with inverse(2^(2r) - 2^r + 1) = 2^shift *
     exponent(family) mod 2^n - 1, or None when the inverse is in no
-    gold or kasami class.  Besides the three sporadic cases, n = 5d with
-    d | r gives K_m with m = d or 2d, and r = n/3 or 2n/3 gives the
-    weight-2 inverse 2^shift * (2^(n/3) + 1).  The answer is
-    re-verified against the extended-Euclid inverse before returning.
+    gold or kasami class.  The class is read off the extended-Euclid
+    inverse's bits: weight 2 is gold(g), g the smaller cyclic gap
+    between its ones, and a weight w <= n/2 + 1 can only be K_(w-1),
+    bits 1 0^(w-2) 1^(w-1) from the lowest up.  The shift is where that
+    pattern first starts in the bits read cyclically.
     """
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
-    r = _kasami_r(r, n, [])
-    if (n, r) in _SPORADIC:
-        family, shift = _SPORADIC[(n, r)]
-    elif n % 5 == 0 and r % (n // 5) == 0:
-        d = n // 5
-        shift, m = _FIVE_D[r // d]
-        family, shift = ExponentFamily("kasami", m * d), shift * d
-    elif n % 3 == 0 and r % (n // 3) == 0:
-        third = n // 3
-        family = ExponentFamily("gold", third)
-        shift = _THIRDS[r // third] * third - 1
+    r = _checked("kasami", r, n, [])
+    kr = family_exponent(ExponentFamily("kasami", r), n).value
+    inverse = ext_euclid_inverse(kr, n)
+    w = binary_weight(inverse)
+    bits = f"{inverse.value:0{n}b}"[::-1]  # bit i at index i
+    if w == 2:
+        gap = bits.rindex("1") - bits.index("1")
+        family = ExponentFamily("gold", min(gap, n - gap))
+        pattern = "1" + "0" * (family.param - 1) + "1"
+    elif 3 <= w and 2 * (w - 1) <= n:
+        family = ExponentFamily("kasami", w - 1)
+        pattern = "1" + "0" * (w - 2) + "1" * (w - 1)
     else:
         return None
-    expected = ext_euclid_inverse(
-        family_exponent(ExponentFamily("kasami", r), n).value, n
-    )
-    if cyclotomic_shift(family_exponent(family, n), shift) != expected:
-        raise RuntimeError(
-            f"internal consistency failure: 2^{shift} * {family.kind}"
-            f"({family.param}) is not the kasami inverse at r={r}, n={n}"
-        )
-    return family, shift
+    shift = (bits + bits).find(pattern)
+    return None if shift < 0 else (family, shift)

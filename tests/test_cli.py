@@ -162,6 +162,37 @@ def test_raw_inverse_rejects_small_ring(capsys):
         assert f"ring parameter must be >= 2, got {n}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--r", "0"], "parameter must be odd and positive, got 0"),
+        (["--r", "-3"], "parameter must be odd and positive, got -3"),
+        (
+            ["--r", "4", "--n", "16"],
+            "parameter must be odd and positive, got 4",
+        ),
+        (
+            ["--r", "2", "--n", "9"],
+            "bracken-leander fixes n = 4r = 8, got n=9",
+        ),
+        # the n = 4r refusal comes before the ring-size limit
+        (
+            ["--r", "3", "--n", "2000000"],
+            "bracken-leander fixes n = 4r = 12, got n=2000000",
+        ),
+        # and the ring-size limit before the odd-r refusal
+        (
+            ["--r", "300000"],
+            "n=1200000 exceeds the ring-size limit n <= 1048576",
+        ),
+    ],
+)
+def test_bl_refusals(capsys, argv, message):
+    code, out, err = run(capsys, "inverse", "bl", *argv)
+    assert code == EXIT_BAD_PARAMS and out == ""
+    assert err == f"bad parameters: {message}\n"
+
+
 def test_exit_congruence_failure(capsys):
     code, _, err = run(
         capsys, "carry", "raw3", "--a", "5", "--s", "2", "--n", "4"

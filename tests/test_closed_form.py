@@ -490,6 +490,51 @@ def test_inverse_equivalence_two_way():
     assert kasami_inverse_equivalence(3, 5) == (ExponentFamily("gold", 1), 1)
 
 
+# the paper's theorem on kasami inverses that are gold or kasami
+# exponents, as (family, shift) tables: (n, r) -> answer for the cases
+# the rules below miss, (4, 2), or give as K_1, which at n = 5 is the
+# gold exponent 3 = 2^1 + 1
+_SPORADIC = {
+    (4, 2): (ExponentFamily("kasami", 2), 2),
+    (5, 2): (ExponentFamily("gold", 1), 2),
+    (5, 3): (ExponentFamily("gold", 1), 1),
+}
+
+# n = 5d, r = b*d: b -> (shift, m) in units of d for the shifted K_m; the
+# shift 2d - 2r of b = 3, 4 is reduced mod n
+_FIVE_D = {1: (2, 2), 2: (2, 1), 3: (1, 1), 4: (4, 2)}
+
+# 3 | n, r = c*n/3: c -> shift + 1 in units of n/3, with gold(n/3)
+_THIRDS = {1: 3, 2: 2}
+
+
+def _theorem(r, n):
+    """The paper's answer at 1 <= r < n, or None outside its cases."""
+    if (n, r) in _SPORADIC:
+        return _SPORADIC[(n, r)]
+    if n % 5 == 0 and r % (n // 5) == 0:
+        d = n // 5
+        shift, m = _FIVE_D[r // d]
+        return ExponentFamily("kasami", m * d), shift * d
+    if n % 3 == 0 and r % (n // 3) == 0:
+        third = n // 3
+        return ExponentFamily("gold", third), _THIRDS[r // third] * third - 1
+    return None
+
+
+def test_inverse_equivalence_is_the_papers_theorem():
+    # the class read off the inverse's bits is the theorem's answer on
+    # every invertible (r, n) with 4 <= n < 200, and None outside it
+    hits = 0
+    for n in range(4, 200):
+        for r in range(1, n):
+            if kasami_invertible(r, n):
+                answer = kasami_inverse_equivalence(r, n)
+                assert answer == _theorem(r, n), (r, n)
+                hits += answer is not None
+    assert hits == 287
+
+
 def test_carry_certificates_verify():
     # the attached carry matrix is the r-matrix of the word that solves
     # the recurrence with s = 1
