@@ -21,17 +21,24 @@ certificate for it.
 
 The solver and the one certificate check, _certificate_fault, pack a
 word into one integer, a lane of w bytes (base B = 256^w) per
-position.  The check recomputes every s[i] = T[i] - 2*c[i] + c[i-1] at
-once, on lanes that keep each per-lane difference, at most
-2*(t_+ - t_-) - 1, below B/2: then the integers are equal only if
-every lane is.  A word is kept as one signed byte (c mod 256) per
-carry whenever every carry fits one, and as a tuple otherwise; the
-check packs its lanes from those bytes by flipping their sign bits.
+position, w = 1, 2, 4 or 8 so that struct converts a whole word in one
+call (wider lanes, for carries beyond 2^63, go lane by lane).  A carry
+c sits in its lane as c + B/2, which is c in two's complement with the
+sign bit flipped.  Both pack the recurrence around the cycle with the
+repunit R = (B^n - 1)/(B - 1) and multiply it through by B - 1, so
+that R is never built: B^n - 1 is a shift and a subtraction.  The check
+recomputes every s[i] = T[i] - 2*c[i] + c[i-1] at once, on lanes that
+keep each per-lane difference, at most 2*(t_+ - t_-) - 1, below B/2:
+then the integers are equal only if every lane is.  A word is kept as
+one signed byte (c mod 256) per carry whenever every carry fits one,
+and as a tuple otherwise.
 """
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Iterable, Mapping
+from functools import cached_property
 from operator import index
 
 from .residues import _FAMILIES, BitSequence, ExponentFamily, _Record
@@ -82,11 +89,11 @@ class SignedPowerForm(_Record):
         if self.value() <= 0:
             raise ValueError("the represented integer must be positive")
 
-    @property
+    @cached_property
     def t_plus(self) -> int:
         return sum(t for _, t in self.terms if t > 0)
 
-    @property
+    @cached_property
     def t_minus(self) -> int:
         return sum(t for _, t in self.terms if t < 0)
 
@@ -160,7 +167,7 @@ class CarrySequence(_Record):
     @property
     def carries(self) -> tuple[int, ...]:
         if isinstance(self.word, bytes):
-            return tuple(memoryview(self.word).cast("b"))
+            return struct.unpack(f"<{self.n}b", self.word)
         return self.word
 
     def weight(self) -> int:
@@ -171,22 +178,68 @@ def _rotations(terms: Iterable, x: int, n: int, lane: int) -> int:
     """sum_j t_j * rot_j(x) for x holding n lanes of lane bits each.
 
     rot_j moves lane i to lane i + j mod n with one shift and one mask,
-    so when lane i of x holds a[i], lane i of rot_j(x) holds a[i-j].
+    so when lane i of x holds a[i], lane i of rot_j(x) holds a[i-j];
+    rot_0 is x itself.  A coefficient of +-1, as every term of the gold,
+    kasami and BL forms has, adds or subtracts without a multiply.
     """
     size = n * lane
     mask = (1 << size) - 1
     total = 0
     for j, t in terms:
         k = j % n * lane
-        total += t * (((x << k) | (x >> (size - k))) & mask)
+        rotated = ((x << k) | (x >> (size - k))) & mask if k else x
+        if t == -1:
+            total -= rotated
+        else:
+            total += rotated if t == 1 else t * rotated
     return total
 
 
 def _lanes(bits: bytes, width: int) -> int:
     """The integer holding bits[i] in its i-th lane of width bytes."""
+    if width == 1:
+        return int.from_bytes(bits, "little")
     lanes = bytearray(len(bits) * width)
     lanes[::width] = bits
     return int.from_bytes(lanes, "little")
+
+
+def _lane_width(lo: int, hi: int) -> int:
+    """The fewest bytes, 1, 2, 4, 8 or a larger power of two, of a
+    two's-complement lane that holds every value in [lo, hi], lo <= 0 <= hi."""
+    size = (max(-lo - 1, hi).bit_length() + 8) // 8  # bytes, with a sign bit
+    return 1 << (size - 1).bit_length()
+
+
+# struct's signed code for a lane of each width that has one
+_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _flip_tops(raw: bytes, width: int) -> bytes | bytearray:
+    """raw with the sign bit of each width-byte lane flipped: a lane that
+    holds v + 2^(8w-1) then holds v in two's complement, and back."""
+    if width == 1:
+        return raw.translate(_FLIP_SIGN)
+    flipped = bytearray(raw)
+    flipped[width - 1 :: width] = raw[width - 1 :: width].translate(_FLIP_SIGN)
+    return flipped
+
+
+def _unpack(raw: bytes, width: int) -> tuple[int, ...]:
+    """The two's-complement lanes of width bytes in raw, as ints."""
+    if code := _CODES.get(width):
+        return struct.unpack(f"<{len(raw) // width}{code}", raw)
+    return tuple(  # lanes wider than any struct code
+        int.from_bytes(raw[i : i + width], "little", signed=True)
+        for i in range(0, len(raw), width)
+    )
+
+
+def _pack(values: tuple[int, ...], width: int) -> bytes:
+    """values as two's-complement lanes of width bytes: _unpack's inverse."""
+    if code := _CODES.get(width):
+        return struct.pack(f"<{len(values)}{code}", *values)
+    return b"".join(v.to_bytes(width, "little", signed=True) for v in values)
 
 
 def _in_range(word: bytes | tuple[int, ...], lo: int, hi: int) -> bool:
@@ -208,17 +261,23 @@ def solve_carries(
     it divides, the word exists: with T[i] = sum_j t_j a[i-j], 2^(m+1) *
     c[m] = c[n-1] + sum_{i <= m} 2^i * (T[i] - s[i]) is an exact multiple
     and keeps every carry in [t_-, t_+ - 1].  The whole word is then read
-    off one more division instead of n steps: with one lane of w bytes
-    per position (base B = 256^w, wide enough for any carry), the
+    off one more division instead of n steps: with one lane of w = 1, 2,
+    4 or 8 bytes per position (base B = 256^w, a two's-complement lane
+    wide enough for any carry; wider for carries beyond 2^63), the
     recurrence packs into
+    (2 - B) * C = D - c[n-1] * (B^n - 1), where C and D hold c[i] and
+    T[i] - s[i] in lane i.  With bias = B/2 and R = (B^n - 1)/(B - 1)
+    the repunit, C + bias * R holds c[i] + bias >= 0 in lane i; times
+    B - 1, so that no repunit is built,
 
-        (2 - B) * C = D - c[n-1] * (B^n - 1)
+        (B - 1)(B - 2) * (C + bias * R) = K * (B^n - 1) - (B - 1) * D
 
-    where C and D hold c[i] and T[i] - s[i] in lane i.  The words' bytes
-    are used as they are: a lane of w bytes is a spread-out byte, the
-    top B^n = 2^(8wn) a shift and the repunit (B^n - 1)/(B - 1) lanes
-    of ones.  The true word solves it, so the division returns that: a
-    remainder or a stray carry here is a bug (RuntimeError).
+    with K = c[n-1] * (B - 1) + bias * (B - 2).  The words' bytes are
+    used as they are: a lane of w bytes is a spread-out byte, B^n a
+    shift, and flipping each lane's sign bit turns c[i] + bias into c[i]
+    for struct to read.  The true word solves it, so the division
+    returns that: a remainder or a stray carry here is a bug
+    (RuntimeError).
     """
     if a.n != s.n:
         raise ValueError(f"length mismatch: a has {a.n} bits, s has {s.n}")
@@ -230,26 +289,22 @@ def solve_carries(
         raise CongruenceError(
             "no carry word closes the cycle: the congruence does not hold"
         )
-    small = lo >= -128 and hi <= 127  # every carry fits a signed byte
-    width = 1 if small else ((hi - lo).bit_length() + 7) // 8
-    bias = 128 if small else -lo
+    width = _lane_width(lo, hi)
     lane = 8 * width
-    top = 1 << (lane * n)  # B^n
+    base, bias = 1 << lane, 1 << (lane - 1)
     packed = _rotations(form.terms, _lanes(a.word, width), n, lane)
     packed -= _lanes(s.word, width)
-    word, rem = divmod(seed * (top - 1) - packed, (1 << lane) - 2)
-    word += bias * _lanes(b"\x01" * n, width)  # lane i holds c[i] + bias
-    if rem or not 0 <= word < top:
+    size = lane * n  # B^n = 2^size
+    k = seed * (base - 1) + bias * (base - 2)
+    word, rem = divmod(
+        (k << size) - k - (base - 1) * packed, (base - 1) * (base - 2)
+    )
+    if rem or not 0 <= word < 1 << size:
         raise RuntimeError("packed carry division is inexact; this is a bug")
-    raw = word.to_bytes(n * width, "little")
-    if small:
-        carries = raw.translate(_FLIP_SIGN)  # c[i] mod 256 in byte i
-    else:
-        carries = tuple(
-            int.from_bytes(raw[i : i + width], "little") - bias
-            for i in range(0, n * width, width)
-        )
-    last = int.from_bytes(raw[-width:], "little") - bias
+    # lane i of raw holds c[i] in two's complement
+    raw = _flip_tops(word.to_bytes(n * width, "little"), width)
+    last = int.from_bytes(raw[-width:], "little", signed=True)
+    carries = raw if width == 1 else _unpack(raw, width)
     if last != seed or not _in_range(carries, lo, hi):
         raise RuntimeError("carries leave their range or seed; this is a bug")
     return CarrySequence(n, carries)
@@ -259,9 +314,17 @@ def _certificate_fault(
     form: SignedPowerForm, a: BitSequence, s: BitSequence, c: CarrySequence
 ) -> str | None:
     """What keeps c from certifying s = l*a mod 2^n - 1, or None if
-    nothing: c must lie in [t_-, t_+ - 1] and reproduce s, the integer
+    nothing: c must lie in [t_-, t_+ - 1] and reproduce s.  With lane i
+    of A, S and C holding a[i], s[i] and c[i] + bias, bias = B/2, that
+    is the identity
+
         sum_j t_j * rot_j(A) - 2*C + rot_1(C) + bias * (B^n - 1)/(B - 1)
-    equal to S, where lane i of A, S and C holds a[i], s[i], c[i] + bias.
+            = S,
+
+    checked multiplied by B - 1 so that the repunit is never built:
+
+        (B - 1) * (sum_j t_j * rot_j(A) - 2*C + rot_1(C) - S)
+            = -bias * (B^n - 1).
     """
     n = a.n
     if not n == s.n == c.n:
@@ -269,19 +332,19 @@ def _certificate_fault(
     lo, hi = form.t_minus, form.t_plus - 1
     if not _in_range(c.word, lo, hi):
         return "carry word leaves its range"
-    width = (2 * (hi - lo) + 1).bit_length() // 8 + 1  # B > 2 * max |d[i]|
-    if width == 1:  # [lo, hi] fits a signed byte, so c.word is bytes
-        carries = int.from_bytes(c.word.translate(_FLIP_SIGN), "little")
-        bias = 128
-    else:
-        raw = b"".join((ci - lo).to_bytes(width, "little") for ci in c.carries)
-        carries, bias = int.from_bytes(raw, "little"), -lo
-    recomputed = (
-        _rotations(form.terms, _lanes(a.word, width), n, 8 * width)
-        + _rotations(((0, -2), (1, 1)), carries, n, 8 * width)
-        + bias * _lanes(b"\x01" * n, width)
+    bound = 2 * (hi - lo) + 1  # the largest lane difference, kept below B/2
+    width = _lane_width(-bound, bound)
+    lane = 8 * width
+    bias = 1 << (lane - 1)
+    # at width 1, [lo, hi] fits a signed byte, so c.word is bytes
+    raw = c.word if width == 1 else _pack(c.carries, width)
+    carries = int.from_bytes(_flip_tops(raw, width), "little")
+    excess = (  # lane i: T[i] - 2*c[i] + c[i-1] - s[i] - bias
+        _rotations(form.terms, _lanes(a.word, width), n, lane)
+        + _rotations(((0, -2), (1, 1)), carries, n, lane)
+        - _lanes(s.word, width)
     )
-    if recomputed != _lanes(s.word, width):
+    if excess * ((1 << lane) - 1) != bias - (bias << lane * n):
         return "carry word does not reproduce s"
     return None
 

@@ -17,6 +17,8 @@ from mersexp import (
     verify_congruence,
 )
 
+from mersexp.cli import MAX_CARRY_RANGE
+
 from carry_oracle import propagate
 
 
@@ -135,6 +137,89 @@ def test_cross_check_catches_a_corrupted_word(monkeypatch):
         monkeypatch.setattr(carry_mod, "solve_carries", corrupted)
         with pytest.raises(RuntimeError, match=message):
             verify_congruence(form, a, s)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {3: 33, 0: -32},  # span 65: two-byte check lanes
+        {3: 20000, 0: -20000},  # span 40,000: four-byte check lanes
+        # carries of either sign near 2^69: lanes wider than any struct code
+        {1: 2**70 + 1, 0: -(2**70)},
+    ],
+    ids=["two-byte", "four-byte", "sixteen-byte"],
+)
+def test_cross_check_catches_a_corrupted_word_at_every_lane_width(
+    monkeypatch, terms
+):
+    # as the kasami case above, for forms whose lanes are wider than a
+    # byte: the solved word follows the recurrence from its final carry,
+    # and a middle carry moved by +-1 or out of range is caught
+    import mersexp.carry as carry_mod
+
+    form = signed_form(terms)
+    n = 101
+    mask = (1 << n) - 1
+    a = bits_of(random.Random(5).randrange(mask), n)
+    s = bits_of(form.value() * a.value % mask, n)
+    good = verify_congruence(form, a, s)
+    assert propagate(form, a, s, good.carries[-1]) == good.carries
+    lo, hi = form.t_minus, form.t_plus - 1
+    for step, message in (
+        (1, "does not reproduce s"),
+        (-1, "does not reproduce s"),
+        (hi - lo + 1, "leaves its range"),
+        (1 << 200, "leaves its range"),  # beyond every lane here
+    ):
+
+        def corrupted(form, a, s):
+            c = list(good.carries)
+            c[n // 2] += step if lo <= c[n // 2] + step <= hi else -step
+            return CarrySequence(n, tuple(c))
+
+        monkeypatch.setattr(carry_mod, "solve_carries", corrupted)
+        with pytest.raises(RuntimeError, match=message):
+            verify_congruence(form, a, s)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {3: MAX_CARRY_RANGE // 2, 0: -MAX_CARRY_RANGE // 2},  # two-byte lanes
+        {1: MAX_CARRY_RANGE // 2, 0: MAX_CARRY_RANGE // 2},  # four-byte lanes
+    ],
+    ids=["signed", "nonnegative"],
+)
+def test_solve_matches_seed_enumeration_at_the_cli_carry_range(terms):
+    # t_+ - t_- = MAX_CARRY_RANGE, the widest the carry command takes:
+    # every one of the 65,536 seeds is propagated
+    form = signed_form(terms)
+    assert form.t_plus - form.t_minus == MAX_CARRY_RANGE
+    n = 5
+    mask = (1 << n) - 1
+    for a, s in ((11, form.value() * 11 % mask), (11, 7), (30, 0)):
+        bits_a, bits_s = bits_of(a, n), bits_of(s, n)
+        closing = enumerated_carries(form, bits_a, bits_s)
+        if (form.value() * a - s) % mask == 0:
+            assert [solve_carries(form, bits_a, bits_s).carries] == closing
+        else:
+            assert closing == []
+            with pytest.raises(CongruenceError):
+                solve_carries(form, bits_a, bits_s)
+
+
+def test_form_bounds_are_cached_outside_the_fields():
+    # t_+ and t_- are computed once, and equality, hash and repr still
+    # read the terms alone
+    form = signed_form({6: 1, 3: -1, 0: 1})
+    fresh = signed_form({6: 1, 3: -1, 0: 1})
+    assert (form.t_plus, form.t_minus) == (2, -1)
+    assert form == fresh and hash(form) == hash(fresh)
+    assert repr(form) == repr(fresh) == (
+        "SignedPowerForm(terms=((0, 1), (3, -1), (6, 1)))"
+    )
+    with pytest.raises(AttributeError):
+        form.t_plus = 3
 
 
 def test_constraints_check_names_the_fault_of_a_corrupted_word():
