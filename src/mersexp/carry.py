@@ -1,44 +1,53 @@
 """The modular add-with-carry engine.
 
 Write an exponent as l = sum_j t_j * 2^j with small signed integer
-coefficients.  Then s = l * a mod 2^n - 1 holds if and only if there
-is a word c of "carries", each in [t_-, t_+ - 1], satisfying
+coefficients, t_+ (t_-) the sum of the positive (negative) ones.  For
+n-bit expansions a and s, s = l * a mod 2^n - 1 holds if and only if
+there is a word c of "carries", each in [t_-, t_+ - 1], satisfying
 
-    2*c[i] - c[i-1] + s[i] = sum_j t_j * a[i-j]        (indices mod n)
+    2*c[i] - c[i-1] + s[i] = T[i] = sum_j t_j * a[i-j]   (indices mod n).
 
-where a, s are the n-bit expansions and t_+ (t_-) is the sum of the
-positive (negative) coefficients.  Multiplying the i-th equation by 2^i
-and summing around the cycle gives the seed identity
+Multiplying the i-th equation by 2^i and summing around the cycle gives
+the seed identity
 
     sum_j t_j * rot_j(a) - s = (2^n - 1) * c[n-1]
 
 with rot_j(a) the integer value of a cyclically shifted up by j.  One
-division therefore decides the congruence and fixes the final carry.
-Every solution has that final carry, and the recurrence determines
-the other carries from it, so the carry word is unique when it exists;
-solving the recurrence both decides the congruence and produces a
-certificate for it.
+division therefore decides the congruence and fixes the final carry,
+and the recurrence the others, so the word is unique.  When the
+division is exact the word exists: 2^(m+1) * c[m] = c[n-1] +
+sum_{i <= m} 2^i * (T[i] - s[i]) is an exact multiple and keeps every
+carry in [t_-, t_+ - 1].
 
 The solver and the one certificate check, _certificate_fault, pack a
-word into one integer, a lane of w bytes (base B = 256^w) per
-position, w = 1, 2, 4 or 8 so that struct converts a whole word in one
-call (wider lanes, for carries beyond 2^63, go lane by lane).  A carry
-c sits in its lane as c + B/2, which is c in two's complement with the
-sign bit flipped.  Both pack the recurrence around the cycle with the
-repunit R = (B^n - 1)/(B - 1) and multiply it through by B - 1, so
-that R is never built: B^n - 1 is a shift and a subtraction.  The check
-recomputes every s[i] = T[i] - 2*c[i] + c[i-1] at once, on lanes that
-keep each per-lane difference, at most 2*(t_+ - t_-) - 1, below B/2:
-then the integers are equal only if every lane is.  A word is kept as
-one signed byte (c mod 256) per carry whenever every carry fits one,
-and as a tuple otherwise.
+word into one integer, a lane of w = 1, 2, 4 or 8 bytes (base
+B = 256^w) per position, so that struct converts it in one call (wider
+lanes, for carries beyond 2^63, go lane by lane).  With A, S and C
+holding a[i], s[i] and c[i] in lane i and rot_j moving lanes,
+rot_1(C) = B*C - c[n-1] * (B^n - 1), so the recurrence packs into
+
+    (2 - B) * C = D - c[n-1] * (B^n - 1),   D = sum_j t_j * rot_j(A) - S.
+
+A lane holds c + bias, bias = B/2: c in two's complement with its sign
+bit flipped.  Multiplied through by B - 1, so that the repunit
+R = (B^n - 1)/(B - 1) is never built and B^n - 1 is a shift and a
+subtraction, the recurrence gives the solver's division for the word
+C + bias*R and, as rot_1(R) = R, the check's identity:
+
+    (B - 1)(B - 2) * (C + bias*R) = K * (B^n - 1) - (B - 1) * D,
+    K = c[n-1] * (B - 1) + bias * (B - 2);
+
+    (B - 1) * (D - 2*(C + bias*R) + rot_1(C + bias*R)) = -bias * (B^n - 1).
+
+The check's lanes keep each T[i] - 2*c[i] + c[i-1] - s[i], at most
+2*(t_+ - t_-) - 1 in size, below B/2: the integers are equal only if
+every lane is.
 """
 
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable, Mapping
-from functools import cached_property
+from collections.abc import Iterable, Mapping, Sequence
 from operator import index
 
 from .residues import _FAMILIES, BitSequence, ExponentFamily, _Record
@@ -64,18 +73,19 @@ class SignedPowerForm(_Record):
     """An exponent written as sum_j t_j * 2^j with signed coefficients.
 
     terms maps exponent j >= 0 to a nonzero integer coefficient t_j,
-    stored sorted by j.  The freedom in choosing a representation is
-    the point: kasami exponents get the three-term form with carry
-    range {-1, 0, 1} instead of their wide binary expansion.
+    stored sorted by j.  The freedom in choosing a representation is the
+    point: kasami exponents get the three-term form with carry range
+    {-1, 0, 1} instead of their wide binary expansion.  t_plus and
+    t_minus sit beside terms; equality, hash and repr read terms alone.
     """
 
     _fields = "terms"
 
     def __init__(self, terms: tuple[tuple[int, int], ...]) -> None:
-        self.__dict__["terms"] = terms  # read by t_plus and value()
         if not terms:
             raise ValueError("a signed power form needs at least one term")
         seen = set()
+        t_plus = t_minus = 0
         for j, t in terms:
             if j < 0:
                 raise ValueError(f"exponent {j} must be >= 0")
@@ -84,18 +94,13 @@ class SignedPowerForm(_Record):
             if j in seen:
                 raise ValueError(f"duplicate exponent {j}")
             seen.add(j)
-        if self.t_plus < 1:
+            t_plus += max(t, 0)
+            t_minus += min(t, 0)
+        if t_plus < 1:
             raise ValueError("at least one positive coefficient required")
+        self.__dict__.update(terms=terms, t_plus=t_plus, t_minus=t_minus)
         if self.value() <= 0:
             raise ValueError("the represented integer must be positive")
-
-    @cached_property
-    def t_plus(self) -> int:
-        return sum(t for _, t in self.terms if t > 0)
-
-    @cached_property
-    def t_minus(self) -> int:
-        return sum(t for _, t in self.terms if t < 0)
 
     def value(self) -> int:
         return sum(t << j for j, t in self.terms)
@@ -119,20 +124,40 @@ def canonical_form(f: ExponentFamily) -> SignedPowerForm:
 
 # flips a byte's sign bit: c + 128 <-> c mod 256 for a signed byte c
 _FLIP_SIGN = bytes(v ^ 0x80 for v in range(256))
+# struct's signed code for a lane of each width that has one
+_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _unpack(raw: bytes, width: int) -> tuple[int, ...]:
+    """The two's-complement lanes of width bytes in raw, as ints."""
+    if code := _CODES.get(width):
+        return struct.unpack(f"<{len(raw) // width}{code}", raw)
+    return tuple(  # lanes wider than any struct code
+        int.from_bytes(raw[i : i + width], "little", signed=True)
+        for i in range(0, len(raw), width)
+    )
+
+
+def _pack(values: Sequence[int], width: int) -> bytes:
+    """values as two's-complement lanes of width bytes: _unpack's inverse
+    (a Struct's pack, unlike struct.pack, does not copy values first)."""
+    if code := _CODES.get(width):
+        return struct.Struct(f"<{len(values)}{code}").pack(*values)
+    return b"".join(v.to_bytes(width, "little", signed=True) for v in values)
 
 
 def _signed_bytes(*words) -> bytes:
     """The words joined, one signed byte (v mod 256) per entry: the one
-    reader of that format.  Bytes-like words are taken as they are and
-    int sequences converted; any other entry raises ValueError."""
+    reader of that format.  Bytes-like words join as they are and int
+    sequences as one-byte lanes; any other entry raises ValueError."""
     try:  # bytes-like words join as they are
         return b"".join(words)
     except TypeError:  # an int sequence among them
         if len(words) > 1:
             return b"".join([_signed_bytes(word) for word in words])
-    try:  # flipping the sign bit of v + 128 gives v mod 256
-        return bytes(v + 128 for v in words[0]).translate(_FLIP_SIGN)
-    except (TypeError, ValueError):
+    try:
+        return _pack(words[0], 1)
+    except (TypeError, struct.error):
         raise ValueError("need bits or carries in [-128, 127]") from None
 
 
@@ -166,9 +191,8 @@ class CarrySequence(_Record):
 
     @property
     def carries(self) -> tuple[int, ...]:
-        if isinstance(self.word, bytes):
-            return struct.unpack(f"<{self.n}b", self.word)
-        return self.word
+        word = self.word
+        return _unpack(word, 1) if isinstance(word, bytes) else word
 
     def weight(self) -> int:
         return sum(self.carries)
@@ -211,10 +235,6 @@ def _lane_width(lo: int, hi: int) -> int:
     return 1 << (size - 1).bit_length()
 
 
-# struct's signed code for a lane of each width that has one
-_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
-
-
 def _flip_tops(raw: bytes, width: int) -> bytes | bytearray:
     """raw with the sign bit of each width-byte lane flipped: a lane that
     holds v + 2^(8w-1) then holds v in two's complement, and back."""
@@ -225,23 +245,6 @@ def _flip_tops(raw: bytes, width: int) -> bytes | bytearray:
     return flipped
 
 
-def _unpack(raw: bytes, width: int) -> tuple[int, ...]:
-    """The two's-complement lanes of width bytes in raw, as ints."""
-    if code := _CODES.get(width):
-        return struct.unpack(f"<{len(raw) // width}{code}", raw)
-    return tuple(  # lanes wider than any struct code
-        int.from_bytes(raw[i : i + width], "little", signed=True)
-        for i in range(0, len(raw), width)
-    )
-
-
-def _pack(values: tuple[int, ...], width: int) -> bytes:
-    """values as two's-complement lanes of width bytes: _unpack's inverse."""
-    if code := _CODES.get(width):
-        return struct.pack(f"<{len(values)}{code}", *values)
-    return b"".join(v.to_bytes(width, "little", signed=True) for v in values)
-
-
 def _in_range(word: bytes | tuple[int, ...], lo: int, hi: int) -> bool:
     """Whether every carry of a signed-byte or tuple word lies in [lo, hi]."""
     if isinstance(word, bytes):  # delete the bytes of [lo, hi] mod 256
@@ -250,33 +253,24 @@ def _in_range(word: bytes | tuple[int, ...], lo: int, hi: int) -> bool:
     return lo <= min(word) <= max(word) <= hi
 
 
+def _packed_difference(
+    form: SignedPowerForm, a: BitSequence, s: BitSequence, width: int
+) -> int:
+    """D = sum_j t_j * rot_j(A) - S on lanes of width bytes, with A and
+    S holding a[i] and s[i] in lane i."""
+    total = _rotations(form.terms, _lanes(a.word, width), a.n, 8 * width)
+    return total - _lanes(s.word, width)
+
+
 def solve_carries(
     form: SignedPowerForm, a: BitSequence, s: BitSequence
 ) -> CarrySequence:
     """Find the unique carry word certifying s = l*a mod 2^n - 1.
 
-    The seed identity gives the only possible final carry c[n-1] by one
-    division, and that division alone decides: it raises CongruenceError
-    when it leaves a remainder, which is exactly the case s != l*a.  When
-    it divides, the word exists: with T[i] = sum_j t_j a[i-j], 2^(m+1) *
-    c[m] = c[n-1] + sum_{i <= m} 2^i * (T[i] - s[i]) is an exact multiple
-    and keeps every carry in [t_-, t_+ - 1].  The whole word is then read
-    off one more division instead of n steps: with one lane of w = 1, 2,
-    4 or 8 bytes per position (base B = 256^w, a two's-complement lane
-    wide enough for any carry; wider for carries beyond 2^63), the
-    recurrence packs into
-    (2 - B) * C = D - c[n-1] * (B^n - 1), where C and D hold c[i] and
-    T[i] - s[i] in lane i.  With bias = B/2 and R = (B^n - 1)/(B - 1)
-    the repunit, C + bias * R holds c[i] + bias >= 0 in lane i; times
-    B - 1, so that no repunit is built,
-
-        (B - 1)(B - 2) * (C + bias * R) = K * (B^n - 1) - (B - 1) * D
-
-    with K = c[n-1] * (B - 1) + bias * (B - 2).  The words' bytes are
-    used as they are: a lane of w bytes is a spread-out byte, B^n a
-    shift, and flipping each lane's sign bit turns c[i] + bias into c[i]
-    for struct to read.  The true word solves it, so the division
-    returns that: a remainder or a stray carry here is a bug
+    The seed division alone decides: it raises CongruenceError when it
+    leaves a remainder, which is exactly the case s != l*a.  The word is
+    then read off the packed division of the module docstring; the true
+    word solves it, so a remainder or a stray carry there is a bug
     (RuntimeError).
     """
     if a.n != s.n:
@@ -292,8 +286,7 @@ def solve_carries(
     width = _lane_width(lo, hi)
     lane = 8 * width
     base, bias = 1 << lane, 1 << (lane - 1)
-    packed = _rotations(form.terms, _lanes(a.word, width), n, lane)
-    packed -= _lanes(s.word, width)
+    packed = _packed_difference(form, a, s, width)
     size = lane * n  # B^n = 2^size
     k = seed * (base - 1) + bias * (base - 2)
     word, rem = divmod(
@@ -314,18 +307,8 @@ def _certificate_fault(
     form: SignedPowerForm, a: BitSequence, s: BitSequence, c: CarrySequence
 ) -> str | None:
     """What keeps c from certifying s = l*a mod 2^n - 1, or None if
-    nothing: c must lie in [t_-, t_+ - 1] and reproduce s.  With lane i
-    of A, S and C holding a[i], s[i] and c[i] + bias, bias = B/2, that
-    is the identity
-
-        sum_j t_j * rot_j(A) - 2*C + rot_1(C) + bias * (B^n - 1)/(B - 1)
-            = S,
-
-    checked multiplied by B - 1 so that the repunit is never built:
-
-        (B - 1) * (sum_j t_j * rot_j(A) - 2*C + rot_1(C) - S)
-            = -bias * (B^n - 1).
-    """
+    nothing: c must lie in [t_-, t_+ - 1] and pass the packed check of
+    the module docstring, which recomputes every s[i] at once."""
     n = a.n
     if not n == s.n == c.n:
         return f"lengths differ: a has {n} bits, s {s.n}, c {c.n} carries"
@@ -339,11 +322,9 @@ def _certificate_fault(
     # at width 1, [lo, hi] fits a signed byte, so c.word is bytes
     raw = c.word if width == 1 else _pack(c.carries, width)
     carries = int.from_bytes(_flip_tops(raw, width), "little")
-    excess = (  # lane i: T[i] - 2*c[i] + c[i-1] - s[i] - bias
-        _rotations(form.terms, _lanes(a.word, width), n, lane)
-        + _rotations(((0, -2), (1, 1)), carries, n, lane)
-        - _lanes(s.word, width)
-    )
+    # lane i: T[i] - 2*c[i] + c[i-1] - s[i] - bias
+    excess = _packed_difference(form, a, s, width)
+    excess += _rotations(((0, -2), (1, 1)), carries, n, lane)
     if excess * ((1 << lane) - 1) != bias - (bias << lane * n):
         return "carry word does not reproduce s"
     return None

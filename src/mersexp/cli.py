@@ -59,8 +59,8 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command cut off by
 # catalog (a closed form per row, about n^2 work) and audit (every
 # instance up to n-max, about n^3) refuse larger n before any work;
 # carry refuses a term list or raw exponent whose carries span more
-# values than MAX_CARRY_RANGE, which keeps the solver's lanes within
-# three bytes
+# values than MAX_CARRY_RANGE, which keeps the solve's and the check's
+# lanes within four bytes
 MAX_RING_N = 1 << 20
 MAX_CARRY_RANGE = 1 << 16
 MAX_CATALOG_N = 4096

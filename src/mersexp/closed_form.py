@@ -35,6 +35,7 @@ from .residues import (
     ExponentFamily,
     NotInvertibleError,
     Residue,
+    _integer,
     _known_bits,
     _Record,
     binary_weight,
@@ -212,9 +213,9 @@ def _gcd1_rows(m: int, e: int, d: int) -> list[bytes]:
         x1, x2 = _X1, _X2
         x = b"\0\1\1" + x1 * k + b"\0\0\0" + x2 * k
         y = b"\0\0\0" + x2 * k + b"\0\1\1" + x1 * k
-        if t % 6 == 1:
+        if t % 6 == 1:  # the first byte, a 0 of X1*u, y or 000, is a 1
             z = b"\0\1" * ((e - 3 - 6 * u) // 2)
-            seq = bytearray(
+            seq = b"\1" + (
                 x1 * u
                 + y * ((s - 2) // 2)
                 + b"\0\0\0"
@@ -223,10 +224,7 @@ def _gcd1_rows(m: int, e: int, d: int) -> list[bytes]:
                 + x1 * u
                 + z
                 + b"\0"
-            )
-            if seq[0] != 0:
-                raise RuntimeError("block layout clash at position 0")
-            seq[0] = 1
+            )[1:]
         elif t % 6 == 2:
             z = b"\1\0" * (3 * u)
             seq = (
@@ -419,14 +417,25 @@ _CLOSED_FORMS = {
 }
 
 
-def _checked(kind: str, r: int, n: int, warnings: list[str]) -> int:
-    """r, once kind's closed form covers (r, n), else the row's refusal.
+def _checked(
+    kind: str, r: int, n: int, warnings: list[str], least: bool = True
+) -> tuple[int, int]:
+    """(r, n) as ints, once kind's closed form covers them, else the
+    row's refusal.
 
-    A free n needs n >= 2 and reads r >= 1 mod n, with a warning; a
+    An unknown kind, or an r or n that is not an integer, is a
+    ValueError.  A free n needs n >= the kind's least n (just n >= 2
+    when least is false) and reads r >= 1 mod n, with a warning; a
     multiple of n is refused.  A fixed n takes r as it is.
     """
-    _, fixed_n, covers, refusal, _ = _CLOSED_FORMS[kind]
+    if kind not in _CLOSED_FORMS:
+        kinds = ", ".join(_CLOSED_FORMS)
+        raise ValueError(f"unknown kind {kind!r}: closed forms are {kinds}")
+    r, n = _integer("r", r), _integer("n", n)
+    least_n, fixed_n, covers, refusal, _ = _CLOSED_FORMS[kind]
     if fixed_n is None:
+        if least and n < least_n:
+            raise ValueError(f"n must be >= {least_n}, got {n}")
         if n < 2:
             raise ValueError(f"ring parameter must be >= 2, got {n}")
         if r < 1:
@@ -438,17 +447,15 @@ def _checked(kind: str, r: int, n: int, warnings: list[str]) -> int:
             r %= n
     if not covers(r, n):
         raise refusal(r, n)
-    return r
+    return r, n
 
 
 def closed_form_inverse(kind: str, r: int, n: int) -> InverseResult:
     """The certified inverse of kind's exponent at (r, n), kind gold,
     kasami or bracken_leander; a free n below the least n is refused."""
-    least_n, fixed_n, _, _, case = _CLOSED_FORMS[kind]
-    if fixed_n is None and n < least_n:
-        raise ValueError(f"n must be >= {least_n}, got {n}")
     warnings: list[str] = []
-    r = _checked(kind, r, n, warnings)
+    r, n = _checked(kind, r, n, warnings)
+    *_, case = _CLOSED_FORMS[kind]
     label, weight, rows = case(r, n)
     family = ExponentFamily(kind, r)
     return _certified(family, n, rows, label, weight, warnings)
@@ -482,7 +489,8 @@ def kasami_degree_bounds(r: int, n: int) -> tuple[int, int, bool]:
     does not read e.  attained tells whether they differ and the case's
     odd e is 3.
     """
-    _, d, m, e, _ = _kasami_case(_checked("kasami", r, n, []), n)
+    r, n = _checked("kasami", r, n, [], least=False)
+    _, d, m, e, _ = _kasami_case(r, n)
     lower, upper = _kasami_weight(n, d, m, 3), _kasami_weight(n, d, m, 1)
     return lower, upper, lower < upper and e == 3
 
@@ -500,9 +508,7 @@ def kasami_inverse_equivalence(
     bits 1 0^(w-2) 1^(w-1) from the lowest up.  The shift is where that
     pattern first starts in the bits read cyclically.
     """
-    if n < 4:
-        raise ValueError(f"n must be >= 4, got {n}")
-    r = _checked("kasami", r, n, [])
+    r, n = _checked("kasami", r, n, [])
     kr = family_exponent(ExponentFamily("kasami", r), n).value
     inverse = ext_euclid_inverse(kr, n)
     w = binary_weight(inverse)

@@ -36,8 +36,10 @@ class NotInvertibleError(ValueError):
 
 
 def fold_mod(x: int, n: int) -> int:
-    """Reduce a non-negative integer mod 2^n - 1 by n-bit chunk folding.
+    """Reduce a non-negative integer mod 2^n - 1 by chunk folding.
 
+    2^n - 1 divides 2^(n*2^k) - 1, so x folds in chunks of n*2^k bits,
+    coarse to fine, each width about halving x: linear in its length.
     The all-ones intermediate 2^n - 1 folds to 0, so the result is
     always a canonical representative in [0, 2^n - 2].
     """
@@ -45,10 +47,16 @@ def fold_mod(x: int, n: int) -> int:
         raise ValueError(f"ring parameter must be >= 2, got {n}")
     if x < 0:
         raise ValueError("fold_mod expects a non-negative integer")
-    mask = (1 << n) - 1
-    while x > mask:
-        x = (x & mask) + (x >> n)
-    return 0 if x == mask else x
+    width = n
+    while 2 * width < x.bit_length():
+        width *= 2
+    while True:
+        mask = (1 << width) - 1
+        while x > mask:
+            x = (x & mask) + (x >> width)
+        if width == n:
+            return 0 if x == mask else x
+        width //= 2
 
 
 def _integer(name: str, value) -> int:
@@ -277,10 +285,14 @@ def family_exponent(f: ExponentFamily, n: int) -> Residue:
     """Evaluate the family's defining integer and reduce mod 2^n - 1.
 
     Pure evaluation: table side conditions (parity, gcd constraints)
-    are not enforced here.
+    are not enforced here.  2^j = 2^(j mod n), so each term is reduced
+    before the sum, which stays within a few bits of 2^n.
     """
-    terms = _FAMILIES[f.kind](f.param, n)
-    return Residue(n, fold_mod(sum(t << j for j, t in terms.items()), n))
+    if n < 2:
+        raise ValueError(f"ring parameter must be >= 2, got {n}")
+    terms = _FAMILIES[f.kind](f.param, n).items()
+    total = sum(t << (j % n) for j, t in terms)
+    return Residue(n, total % ((1 << n) - 1))
 
 
 def is_invertible(l: int, n: int) -> bool:

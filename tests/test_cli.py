@@ -439,6 +439,47 @@ def test_audit_reports_a_broken_certificate(capsys, monkeypatch):
     assert all(f["kind"] == "certificate" for f in res["failures"])
 
 
+def test_carry_solve_refuses_a_kasami_row_with_its_first_bit_cleared(
+    capsys, monkeypatch
+):
+    # the t = 1 (mod 6) row of _gcd1_rows sets its first bit over the
+    # blocks' 0 with no guard of its own: the certificate's carry solve
+    # is what refuses the row when that bit is lost
+    import mersexp.closed_form as closed_form_mod
+    from mersexp import kasami_inverse
+
+    gcd1_rows = closed_form_mod._gcd1_rows
+
+    def cleared_rows(m, e, d):
+        (row,) = gcd1_rows(m, e, d)
+        if e % 6 == 3 and m % e % 6 == 1:
+            assert row[0] == 1
+            row = b"\0" + row[1:]
+        return [row]
+
+    monkeypatch.setattr(closed_form_mod, "_gcd1_rows", cleared_rows)
+    fault = (
+        "internal consistency failure: KASAMI_GCD1_E6K3_T6U1_REFLECTED "
+        "at r=2, n=7 does not invert its exponent"
+    )
+    with pytest.raises(RuntimeError) as caught:
+        kasami_inverse(2, 7)
+    assert str(caught.value) == fault
+    code, out, _ = run(
+        capsys, "--format", "json", "audit", "--n-min", "7", "--n-max", "7"
+    )
+    assert code == EXIT_AUDIT_MISMATCH
+    failures = json.loads(out)["result"]["failures"]
+    assert {
+        "family": "kasami",
+        "r": 2,
+        "n": 7,
+        "got": fault,
+        "expected": None,
+        "kind": "certificate",
+    } in failures
+
+
 def test_audit_reports_a_non_bit_row_as_a_certificate_fault(
     capsys, monkeypatch
 ):

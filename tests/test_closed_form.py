@@ -10,6 +10,7 @@ from mersexp import (
     Residue,
     binary_weight,
     bl_inverse,
+    closed_form_inverse,
     cyclotomic_shift,
     ext_euclid_inverse,
     family_exponent,
@@ -327,6 +328,27 @@ def test_bl_rejects_even_parameter():
         bl_inverse(2)
     with pytest.raises(ValueError):
         bl_inverse(0)
+
+
+def test_closed_forms_refuse_bad_input_with_a_value_error():
+    # an unknown kind, or an r or n that is not an integer, is refused
+    # before any comparison, naming what is wrong
+    for kind in ("raw", "bl"):
+        with pytest.raises(
+            ValueError, match="gold, kasami, bracken_leander"
+        ) as caught:
+            closed_form_inverse(kind, 3, 12 if kind == "bl" else 7)
+        assert type(caught.value) is ValueError
+    for call, name in (
+        (lambda: bl_inverse(3.0), "r"),
+        (lambda: gold_inverse(3, 7.0), "n"),
+        (lambda: kasami_inverse("3", 7), "r"),
+        (lambda: kasami_degree_bounds(2.5, 7), "r"),
+        (lambda: kasami_inverse_equivalence(2.5, 7), "r"),
+        (lambda: kasami_inverse_equivalence(1, 7.0), "n"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call()
 
 
 def test_degree_bounds_examples():

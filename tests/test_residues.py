@@ -1,3 +1,6 @@
+import random
+from time import perf_counter
+
 import pytest
 from hypothesis import given, strategies as st
 from math import gcd
@@ -67,6 +70,18 @@ def test_fold_mod_all_ones_intermediate():
 @given(st.integers(2, 24), st.integers(0, 1 << 48))
 def test_fold_mod_agrees_with_mod(n, x):
     assert fold_mod(x, n) == x % ((1 << n) - 1)
+
+
+def test_fold_mod_agrees_with_mod_on_long_words():
+    # x folds in chunks of n*2^k bits, coarse to fine: lengths of up to
+    # 2^20 bits, most no multiple of n, and words of all ones
+    rng = random.Random(33)
+    for n in (2, 7, 64):
+        for size in (n + 1, 3 * n - 1, 1 << 12, (1 << 20) - 5, 1 << 20):
+            x = rng.getrandbits(size)
+            assert fold_mod(x, n) == x % ((1 << n) - 1)
+        assert fold_mod((1 << (n << 10)) - 1, n) == 0
+        assert fold_mod((1 << (n << 10)) - 2, n) == (1 << n) - 2
 
 
 def test_ext_euclid_examples():
@@ -183,6 +198,22 @@ def test_family_terms_match_the_defining_integers():
                 assert family_exponent(family, n).value == expected
             if kind != "inverse":
                 assert canonical_form(family).value() == value(param, None)
+
+
+def test_family_exponent_reduces_a_large_parameter_at_once():
+    # 2^(2r) - 2^r + 1 at r = 10^6 has 2,000,001 bits, but 2^j is
+    # 2^(j mod n), so each term is reduced before the sum; at n near
+    # 2^20, % of the whole integer alone would take seconds
+    start = perf_counter()
+    kasami = ExponentFamily("kasami", 10**6)
+    assert family_exponent(kasami, 7) == Residue(7, 3)
+    n = 1048573
+    expected = (1 << (2 * 10**6 % n)) - (1 << (10**6 % n)) + 1
+    assert family_exponent(kasami, n) == Residue(n, expected % ((1 << n) - 1))
+    assert perf_counter() - start < 0.5
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"must be >= 2, got {n}"):
+            family_exponent(kasami, n)
 
 
 def test_family_validation():
