@@ -146,19 +146,17 @@ def _pack(values: Sequence[int], width: int) -> bytes:
     return b"".join(v.to_bytes(width, "little", signed=True) for v in values)
 
 
-def _signed_bytes(*words) -> bytes:
-    """The words joined, one signed byte (v mod 256) per entry: the one
-    reader of that format.  Bytes-like words join as they are and int
-    sequences as one-byte lanes; any other entry raises ValueError."""
-    try:  # bytes-like words join as they are
-        return b"".join(words)
-    except TypeError:  # an int sequence among them
-        if len(words) > 1:
-            return b"".join([_signed_bytes(word) for word in words])
-    try:
-        return _pack(words[0], 1)
-    except (TypeError, struct.error):
-        raise ValueError("need bits or carries in [-128, 127]") from None
+def _signed_bytes(word) -> bytes:
+    """word as one signed byte (v mod 256) per entry: the one reader of
+    that format.  A bytes-like word is taken as it is and an int
+    sequence as one-byte lanes; any other entry raises ValueError."""
+    try:  # a bytes-like word, as it is
+        return b"".join((word,))
+    except TypeError:  # an int sequence
+        try:
+            return _pack(word, 1)
+        except (TypeError, struct.error):
+            raise ValueError("need bits or carries in [-128, 127]") from None
 
 
 class CarrySequence(_Record):
@@ -300,7 +298,11 @@ def solve_carries(
     carries = raw if width == 1 else _unpack(raw, width)
     if last != seed or not _in_range(carries, lo, hi):
         raise RuntimeError("carries leave their range or seed; this is a bug")
-    return CarrySequence(n, carries)
+    try:  # the constructor's one form: signed bytes if every carry fits
+        carries = _signed_bytes(carries)
+    except ValueError:  # a carry beyond a signed byte: the tuple
+        pass
+    return CarrySequence._of(n=n, word=carries)
 
 
 def _certificate_fault(

@@ -1,11 +1,12 @@
 """Closed-form inverses of gold, kasami and bracken-leander exponents.
 
 _CLOSED_FORMS is the one place that states which (r, n) each closed
-form covers and how its rows are made.  closed_form_inverse checks the
-input once against the kind's row, asks the row's case for the label,
-weight and rows, and hands the rows to _certified, which reads the word
-off them, proves it the inverse by solving its carry word and ships it
-with the r-matrices of the inverse and of that carry word.
+form covers and how its r-matrix is made.  closed_form_inverse checks
+the input once against the kind's row, asks the row's case for the
+label, weight and flat (the r-matrix as RMatrix.flat, rows back to
+back) and hands flat to _certified, which reads the word off it, proves
+it the inverse by solving its carry word and ships it with the
+r-matrices of the inverse and of that carry word.
 
 The rows are fixed periodic column blocks selected by a handful of
 derived parameters:
@@ -15,7 +16,7 @@ derived parameters:
     s, t from m = s*e + t (0 <= t < e),  k = e // 6,  u = t // 6.
 
 _kasami_case decides the kasami case, its tag and its parameters from
-this arithmetic alone; its row builder then makes the rows.
+this arithmetic alone; its row builder then makes flat.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from .orderings import (
     to_r_matrix,  # unused here; the traced benchmark wraps it by this name
 )
 from .residues import (
+    BitSequence,
     ExponentFamily,
     NotInvertibleError,
     Residue,
     _integer,
-    _known_bits,
     _Record,
     binary_weight,
     ext_euclid_inverse,
@@ -73,30 +74,28 @@ class InverseResult(_Record):
 def _certified(
     family: ExponentFamily,
     n: int,
-    rows: list[bytes],
+    flat: bytes,
     label: str,
     weight: int,
     warnings: list[str],
 ) -> InverseResult:
-    """Assemble an inverse from its r-matrix rows, check it, certify it.
+    """Read an inverse off its flat r-matrix, check it, certify it.
 
-    The rows must be d = gcd(r, n) rows of n/d bits; the value is the
-    sum of 2^((i - j*r) mod n) over their ones, and the rows are the
-    result's r-matrix.  A reflected kasami case passes its partner's
-    rows with column j taken from column (2 - j) mod m.  Solving the
-    carry word of l * inverse = 1 is the one congruence check.  A wrong
-    layout, entry, value or weight raises RuntimeError naming the label.
+    flat must be d = gcd(r, n) rows of n/d bits back to back; the value
+    is the sum of 2^((i - j*r) mod n) over the ones of row i, and flat
+    is the result's r-matrix.  Solving the carry word of l * inverse = 1
+    is the one congruence check.  A wrong length, entry, value or weight
+    raises RuntimeError naming the label.
     """
     r = family.param
-    try:
-        r_matrix = RMatrix(n, r, rows)
-    except ValueError:
+    if len(flat) != n:
         d = gcd(r, n)
         raise RuntimeError(
             f"internal consistency failure: {label} at r={r}, n={n} "
             f"has a block layout other than {d} rows of {n // d}"
-        ) from None
-    one = _known_bits(n, b"\x01" + bytes(n - 1), 1)
+        )
+    r_matrix = RMatrix._of(n=n, r=r, flat=flat)
+    one = BitSequence._of(n=n, word=b"\x01" + bytes(n - 1), value=1)
     try:  # a non-bit entry, the all-ones word or l * word != 1
         bits = from_r_matrix(r_matrix)
         carries = solve_carries(canonical_form(family), bits, one)
@@ -139,8 +138,8 @@ def _gold_refusal(r: int, n: int) -> NotInvertibleError:
     )
 
 
-def _gold_form(r: int, n: int) -> tuple[str, int, list[bytes]]:
-    """(label, weight, rows) of the gold inverse, weight (n - d + 2) / 2.
+def _gold_form(r: int, n: int) -> tuple[str, int, bytes]:
+    """(label, weight, flat) of the gold inverse, weight (n - d + 2) / 2.
 
     The r-matrix has d - 1 identical rows with ones at even columns
     >= 2 and a last row with ones at column 0 and the odd columns; for
@@ -151,7 +150,7 @@ def _gold_form(r: int, n: int) -> tuple[str, int, list[bytes]]:
     top = b"\0" + b"\0\1" * (m // 2)  # m is odd
     bottom = b"\1" + b"\1\0" * (m // 2)
     label = "GOLD_GCD1" if d == 1 else "GOLD_GCDS"
-    return label, (n - d + 2) // 2, [top] * (d - 1) + [bottom]
+    return label, (n - d + 2) // 2, top * (d - 1) + bottom
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +194,7 @@ def _kasami_weight(n: int, d: int, m: int, e: int) -> int:
     return (n - c * d + 2) // 2
 
 
-def _gcd1_rows(m: int, e: int, d: int) -> list[bytes]:
+def _gcd1_rows(m: int, e: int, d: int) -> bytes:
     """The one row for d = 1, m and e odd.
 
     The row is the decimated inverse word in r-ordering: the inverse
@@ -260,28 +259,25 @@ def _gcd1_rows(m: int, e: int, d: int) -> list[bytes]:
                 + x1 * u
                 + z
             )
-    return [seq]
+    return seq
 
 
-def _nd3_rows(m: int, e: int, d: int) -> list[bytes]:
+def _nd3_rows(m: int, e: int, d: int) -> bytes:
     """Rows for m = n/d divisible by 3 (m = 3 mod 6, e = 1 or 5 mod 6).
 
     The last row is the gcd = 1 row at modulus m; the other d - 1 rows
     share one six-periodic pattern.
     """
-    last = _gcd1_rows(m, e, 1)
-    if d == 1:
-        return last
     k = e // 6
     if e % 6 == 1:
         a1 = b"\0\0" + b"\0\0\1\1\1\0" * ((m - e - 2) // 6) + _X1 * k + b"\0"
     else:  # e % 6 == 5
         head = b"\0\1\0\0\0" + b"\1\1\1\0\0\0" * ((m - e - 4) // 6)
         a1 = head + b"\1\1\0\0" + _X2 * k
-    return [a1] * (d - 1) + last
+    return a1 * (d - 1) + _gcd1_rows(m, e, 1)
 
 
-def _ndodd_rows(m: int, e: int, d: int) -> list[bytes]:
+def _ndodd_rows(m: int, e: int, d: int) -> bytes:
     """Rows for m = n/d odd, not divisible by 3, d > 1.
 
     The first row is the gcd = 1 row at modulus m; the other d - 1
@@ -312,10 +308,10 @@ def _ndodd_rows(m: int, e: int, d: int) -> list[bytes]:
         a2 = head + b"\0\1\1" + x1 * k + b"\0"
     else:  # H, t % 6 == 5
         a2 = b"\0\1\1\0\0" + x3 * u + z * (s // 2)
-    return _gcd1_rows(m, e, 1) + [a2] * (d - 1)
+    return _gcd1_rows(m, e, 1) + a2 * (d - 1)
 
 
-def _ndeven_rows(m: int, e: int, d: int) -> list[bytes]:
+def _ndeven_rows(m: int, e: int, d: int) -> bytes:
     """Rows for m = n/d even (then 3 does not divide m and e is odd).
 
     After the head row, rows alternate between the two phases of the
@@ -327,7 +323,7 @@ def _ndeven_rows(m: int, e: int, d: int) -> list[bytes]:
     else:  # m % 6 == 4
         a1 = b"\1\0\1\1" + b"\1\0\0\0\1\1" * ((m - 4) // 6)
         odd_row, even_row = b"\0\1" * (m // 2), b"\1\0" * (m // 2)
-    return [a1] + [odd_row if i % 2 else even_row for i in range(1, d)]
+    return a1 + ((odd_row + even_row) * (d // 2))[: (d - 1) * m]
 
 
 def _kasami_case(r: int, n: int) -> tuple[str, int, int, int, Callable]:
@@ -337,8 +333,8 @@ def _kasami_case(r: int, n: int) -> tuple[str, int, int, int, Callable]:
     odd) becomes m - e, the e of the partner parameter n - r, and the
     tag ends in _REFLECTED.  The branches are tried in order: m even,
     3 | m, d = 1, then the other odd m.  build(m, e, d) returns the
-    case's rows; a reflected case's are the partner's, whose columns
-    _kasami_form maps.
+    case's flat, d rows of m; a reflected case's is the partner's, whose
+    columns _kasami_form maps.
     """
     d = gcd(r, n)
     m = n // d
@@ -362,15 +358,16 @@ def _kasami_case(r: int, n: int) -> tuple[str, int, int, int, Callable]:
     return tag + suffix, d, m, e, build
 
 
-def _kasami_form(r: int, n: int) -> tuple[str, int, list[bytes]]:
-    """(label, weight, rows) of the kasami inverse by case dispatch."""
+def _kasami_form(r: int, n: int) -> tuple[str, int, bytes]:
+    """(label, weight, flat) of the kasami inverse by case dispatch."""
     tag, d, m, e, build = _kasami_case(r, n)
-    rows = build(m, e, d)
+    flat = build(m, e, d)
     if tag.endswith("_REFLECTED"):
         # the two inverses differ by the cyclotomic shift -2r, which in
-        # the rows takes column j from the partner's column (2 - j) mod m
-        rows = [row[2::-1] + row[:2:-1] for row in rows]
-    return f"KASAMI_{tag}", _kasami_weight(n, d, m, e), rows
+        # each row takes column j from the partner's column (2 - j) mod m
+        rows = [flat[i : i + m] for i in range(0, n, m)]
+        flat = b"".join([row[2::-1] + row[:2:-1] for row in rows])
+    return f"KASAMI_{tag}", _kasami_weight(n, d, m, e), flat
 
 
 # ---------------------------------------------------------------------------
@@ -394,14 +391,13 @@ def _bl_refusal(r: int, n: int) -> ValueError:
     return ValueError(f"parameter must be odd and positive, got {r}")
 
 
-def _bl_form(r: int, n: int) -> tuple[str, int, list[bytes]]:
-    """(label, weight, rows) of the bracken-leander inverse, r odd.
+def _bl_form(r: int, n: int) -> tuple[str, int, bytes]:
+    """(label, weight, flat) of the bracken-leander inverse, r odd.
 
     The r-matrix has head row (1, 1, 1, 0), then alternating all-zero
     and all-one rows of width 4; the weight is 2r + 1 = (n + 2) / 2.
     """
-    rows = [b"\1\1\1\0"] + [b"\0\0\0\0", b"\1\1\1\1"] * (r // 2)
-    return "BL", 2 * r + 1, rows
+    return "BL", 2 * r + 1, b"\1\1\1\0" + b"\0\0\0\0\1\1\1\1" * (r // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +405,7 @@ def _bl_form(r: int, n: int) -> tuple[str, int, list[bytes]]:
 # ---------------------------------------------------------------------------
 
 # kind -> (least n, the n that r fixes or None, covers(r, n), the refusal
-# for any other (r, n), case(r, n) -> (label, weight, rows))
+# for any other (r, n), case(r, n) -> (label, weight, flat))
 _CLOSED_FORMS = {
     "gold": (2, None, gold_invertible, _gold_refusal, _gold_form),
     "kasami": (4, None, kasami_invertible, _kasami_refusal, _kasami_form),
@@ -456,9 +452,9 @@ def closed_form_inverse(kind: str, r: int, n: int) -> InverseResult:
     warnings: list[str] = []
     r, n = _checked(kind, r, n, warnings)
     *_, case = _CLOSED_FORMS[kind]
-    label, weight, rows = case(r, n)
+    label, weight, flat = case(r, n)
     family = ExponentFamily(kind, r)
-    return _certified(family, n, rows, label, weight, warnings)
+    return _certified(family, n, flat, label, weight, warnings)
 
 
 def gold_inverse(r: int, n: int) -> InverseResult:

@@ -65,7 +65,7 @@ class RMatrix(_Record):
             raise ValueError(f"expected {d} rows, got {len(rows)}")
         if set(map(len, rows)) != {n // d}:
             raise ValueError(f"every row must have {n // d} entries")
-        self.__dict__.update(n=n, r=r, flat=_signed_bytes(*rows))
+        self.__dict__.update(n=n, r=r, flat=b"".join(map(_signed_bytes, rows)))
 
     @property
     def d(self) -> int:
@@ -104,6 +104,10 @@ def _plan(
     """How _decimate reads a length-m strand decimated by step, making
     at most budget entries of copies, or one copy of a longer strand:
     _SHORT_ROW**2 bytes (256 KB, the bound of the short rows) for bytes.
+
+    step must be a unit mod m, gcd(step, m) = 1, as every caller's is:
+    with a common factor the convergent walk may divide by a zero
+    remainder of g/m (ZeroDivisionError).
 
     Returns (g, q, h, copies), g = -step mod m.  Output entry j is
     seq[j*g % m], so the entries j, j + q, j + 2q, ... lie h = q*g mod m
@@ -187,9 +191,7 @@ def matrix_of_sequence(values: Sequence[int], n: int, r: int) -> RMatrix:
         for j in range(m):
             b = -j * step % m * d
             flat[j::m] = word[b : b + d]
-    matrix = object.__new__(RMatrix)  # flat, not split into rows again
-    matrix.__dict__.update(n=n, r=r, flat=bytes(flat))
-    return matrix
+    return RMatrix._of(n=n, r=r, flat=bytes(flat))
 
 
 def to_r_matrix(a: BitSequence, r: int) -> RMatrix:

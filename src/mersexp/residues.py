@@ -85,6 +85,13 @@ class _Record:
             raise TypeError(f"{type(self).__name__} takes {', '.join(names)}")
         self.__dict__.update(values)
 
+    @classmethod
+    def _of(cls, **attrs):
+        """An instance with the attributes attrs, as given and unchecked."""
+        record = object.__new__(cls)
+        record.__dict__.update(attrs)
+        return record
+
     def __eq__(self, other) -> bool:
         same = other.__class__ is self.__class__
         return self._key(self) == self._key(other) if same else NotImplemented
@@ -161,17 +168,10 @@ _CHARS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _BITS_TO_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _known_bits(n: int, word: bytes, value: int) -> BitSequence:
-    """BitSequence(n, word) with its value filled in; word must spell it."""
-    bits = BitSequence(n, word)
-    bits.__dict__["value"] = value  # the cached_property's own slot
-    return bits
-
-
 def to_bits(x: Residue) -> BitSequence:
     """Binary expansion of a residue, least significant bit first."""
-    word = format(x.value, f"0{x.n}b")[::-1]
-    return _known_bits(x.n, word.encode().translate(_CHARS_TO_BITS), x.value)
+    word = format(x.value, f"0{x.n}b")[::-1].encode().translate(_CHARS_TO_BITS)
+    return BitSequence._of(n=x.n, word=word, value=x.value)
 
 
 def _word_value(word: bytes) -> int:

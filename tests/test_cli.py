@@ -410,8 +410,8 @@ def test_audit_reports_a_broken_certificate(capsys, monkeypatch):
     ndeven_rows = closed_form_mod._ndeven_rows
 
     def broken_rows(m, e, d):
-        head, *rest = ndeven_rows(m, e, d)
-        return [head[:-1] + bytes([1 - head[-1]]), *rest]
+        flat = ndeven_rows(m, e, d)  # the head row is flat[:m]
+        return flat[: m - 1] + bytes([1 - flat[m - 1]]) + flat[m:]
 
     monkeypatch.setattr(closed_form_mod, "_ndeven_rows", broken_rows)
     fault = (
@@ -451,11 +451,11 @@ def test_carry_solve_refuses_a_kasami_row_with_its_first_bit_cleared(
     gcd1_rows = closed_form_mod._gcd1_rows
 
     def cleared_rows(m, e, d):
-        (row,) = gcd1_rows(m, e, d)
+        row = gcd1_rows(m, e, d)
         if e % 6 == 3 and m % e % 6 == 1:
             assert row[0] == 1
             row = b"\0" + row[1:]
-        return [row]
+        return row
 
     monkeypatch.setattr(closed_form_mod, "_gcd1_rows", cleared_rows)
     fault = (
@@ -490,8 +490,8 @@ def test_audit_reports_a_non_bit_row_as_a_certificate_fault(
     ndeven_rows = closed_form_mod._ndeven_rows
 
     def non_bit_rows(m, e, d):
-        head, *rest = ndeven_rows(m, e, d)
-        return [b"\x02" + head[1:], *rest]
+        flat = ndeven_rows(m, e, d)
+        return b"\x02" + flat[1:]
 
     monkeypatch.setattr(closed_form_mod, "_ndeven_rows", non_bit_rows)
     code, out, _ = run(

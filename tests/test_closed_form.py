@@ -60,22 +60,31 @@ def test_gold_inverse_examples():
 
 def test_certified_faults_name_the_label():
     # gold(3) at n = 7: d = 1, one row of 7 bits giving 113, weight 4;
-    # every fault in rows or weight is an internal failure, not bad input
+    # every fault in the flat r-matrix or weight is an internal failure,
+    # not bad input
     gold = ExponentFamily("gold", 3)
-    row = [1, 1, 0, 1, 0, 1, 0]
-    assert _certified(gold, 7, [row], "GOLD_GCD1", 4, []).inverse.value == 113
-    flipped = [1 - row[0]] + row[1:]
+    row = b"\1\1\0\1\0\1\0"
+    assert _certified(gold, 7, row, "GOLD_GCD1", 4, []).inverse.value == 113
+    flipped = b"\0" + row[1:]
     faults = [
-        ([row[:-1]], 4, "block layout"),
-        ([row, row], 4, "block layout"),
-        ([flipped], 4, "does not invert"),
-        ([[1] * 7], 4, "does not invert"),
-        ([[2, 1, 0, 1, 0, 1, 0]], 4, "does not invert"),  # not a bit
-        ([row], 5, "has weight 4"),
+        (row[:-1], 4, "block layout"),
+        (row + row, 4, "block layout"),
+        (flipped, 4, "does not invert"),
+        (b"\1" * 7, 4, "does not invert"),
+        (b"\2\1\0\1\0\1\0", 4, "does not invert"),  # not a bit
+        (row, 5, "has weight 4"),
     ]
-    for rows, weight, fault in faults:
+    for flat, weight, fault in faults:
         with pytest.raises(RuntimeError, match=f"GOLD_GCD1 .*{fault}"):
-            _certified(gold, 7, rows, "GOLD_GCD1", weight, [])
+            _certified(gold, 7, flat, "GOLD_GCD1", weight, [])
+    # gold(2) at n = 6: d = 2 rows of 3; with the length the only layout
+    # check, rows in the wrong order are a word that does not invert
+    gold = ExponentFamily("gold", 2)
+    top, bottom = b"\0\0\1", b"\1\1\0"
+    res = _certified(gold, 6, top + bottom, "GOLD_GCDS", 3, [])
+    assert res.inverse.value == 38
+    with pytest.raises(RuntimeError, match="GOLD_GCDS .*does not invert"):
+        _certified(gold, 6, bottom + top, "GOLD_GCDS", 3, [])
 
 
 def test_gold_not_invertible_raises():
@@ -604,6 +613,11 @@ def test_large_n_closed_form_paths():
         ("kasami", 4, 1000),  # NDEVEN_6K4, d = 4, m = 250
         ("kasami", 17, 867),  # ND3_E6K1, d = 17, m = 51
         ("bracken_leander", 75, 300),
+        ("kasami", 303, 505),  # NDODD_CASE_F_REFLECTED, d = 101, m = 5
+        ("kasami", 2000, 4000),  # NDEVEN_6K2, d = 2000, m = 2
+        ("kasami", 3003, 9009),  # ND3_E6K1, d = 3003, m = 3
+        ("gold", 3003, 9009),  # GOLD_GCDS, d = 3003, m = 3
+        ("bracken_leander", 4007, 16028),  # BL, d = 4007, m = 4
     ],
 )
 def test_large_certificates_match_oracle_and_recurrence(kind, r, n):
