@@ -16,7 +16,9 @@ derived parameters:
     s, t from m = s*e + t (0 <= t < e),  k = e // 6,  u = t // 6.
 
 _kasami_case decides the kasami case, its tag and its parameters from
-this arithmetic alone; its row builder then makes flat.
+this arithmetic alone; its row builder then makes flat.  The e = 3
+mod 6 rows, GCD1's one row and NDODD's repeated row in cases E-H,
+share one head, _e3_head, and differ only in their tails.
 """
 
 from __future__ import annotations
@@ -194,72 +196,49 @@ def _kasami_weight(n: int, d: int, m: int, e: int) -> int:
     return (n - c * d + 2) // 2
 
 
+def _e3_head(m: int, e: int) -> tuple[bytes, bytes]:
+    """(head, S) shared by the e = 3 mod 6 rows of GCD1 and NDODD E-H.
+
+    With k = e // 6, s, t = divmod(m, e) and u = t // 6, the super-block
+    x = 011 X1^k 000 X2^k has 2e bytes and y = x[e:] + x[:e]; head is
+    prefix + B^u + S^((s - 1) // 2) with (prefix, B, S) = ("", X1, y),
+    (01, X1, y), (000, X2, x) or (01100, X2, x) for t = 1, 2, 4, 5 mod 6.
+    """
+    k = e // 6
+    s, t = divmod(m, e)
+    lo, hi = b"\0\1\1" + _X1 * k, b"\0\0\0" + _X2 * k  # x = lo + hi
+    prefix = (None, b"", b"\0\1", None, b"\0\0\0", b"\0\1\1\0\0")[t % 6]
+    block, sup = (_X1, hi + lo) if t % 6 < 3 else (_X2, lo + hi)
+    return prefix + block * (t // 6) + sup * ((s - 1) // 2), sup
+
+
 def _gcd1_rows(m: int, e: int, d: int) -> bytes:
     """The one row for d = 1, m and e odd.
 
     The row is the decimated inverse word in r-ordering: the inverse
     is sum(row[i] * 2^(-i*r)).  The ND3 and NDODD rows reuse it at
-    modulus m.
+    modulus m.  For e = 3 mod 6 the row is _e3_head's head and a tail
+    picked by t mod 6.
     """
     k, rem = divmod(e, 6)
     if rem == 1:
-        seq = b"\1" + b"\1\0" * ((m - e) // 2) + b"\1\1\1\0\0\0" * k
-    elif rem == 5:
-        seq = b"\0" + b"\0\1" * ((m - e + 2) // 2) + b"\1\1" + _X1 * k
-    else:  # rem == 3
-        s, t = divmod(m, e)
-        u = t // 6
-        x1, x2 = _X1, _X2
-        x = b"\0\1\1" + x1 * k + b"\0\0\0" + x2 * k
-        y = b"\0\0\0" + x2 * k + b"\0\1\1" + x1 * k
-        if t % 6 == 1:  # the first byte, a 0 of X1*u, y or 000, is a 1
-            z = b"\0\1" * ((e - 3 - 6 * u) // 2)
-            seq = b"\1" + (
-                x1 * u
-                + y * ((s - 2) // 2)
-                + b"\0\0\0"
-                + x2 * k
-                + b"\0\1\1"
-                + x1 * u
-                + z
-                + b"\0"
-            )[1:]
-        elif t % 6 == 2:
-            z = b"\1\0" * (3 * u)
-            seq = (
-                b"\0\1"
-                + x1 * u
-                + y * ((s - 1) // 2)
-                + b"\0\0"
-                + z
-                + b"\1"
-                + x2 * (k - u)
-            )
-        elif t % 6 == 4:
-            z = b"\1\0" * (3 * u)
-            seq = (
-                b"\0\0\0"
-                + x2 * u
-                + x * ((s - 1) // 2)
-                + b"\0\1\1\0"
-                + z
-                + b"\1\0\1\1\1"
-                + x1 * ((e - 6 * u - 9) // 6)
-                + b"\0"
-            )
-        else:  # t % 6 == 5
-            z = x1 + b"\0\1" * ((e - 7 - 6 * u) // 2)
-            seq = (
-                b"\0\1\1\0\0"
-                + x2 * u
-                + x * ((s - 2) // 2)
-                + b"\0\1\1"
-                + x1 * k
-                + b"\0"
-                + x1 * u
-                + z
-            )
-    return seq
+        return b"\1" + b"\1\0" * ((m - e) // 2) + b"\1\1\1\0\0\0" * k
+    if rem == 5:
+        return b"\0" + b"\0\1" * ((m - e + 2) // 2) + b"\1\1" + _X1 * k
+    head, sup = _e3_head(m, e)
+    t = m % e
+    u = t // 6
+    if t % 6 == 1:  # the first byte, a 0 of X1*u, y or 000, is a 1
+        z = b"\0\1" * ((e - 3 - 6 * u) // 2)
+        tail = sup[:e] + b"\0\1\1" + _X1 * u + z + b"\0"
+        return b"\1" + (head + tail)[1:]
+    if t % 6 == 2:
+        return head + b"\0\0" + b"\1\0" * (3 * u) + b"\1" + _X2 * (k - u)
+    if t % 6 == 4:
+        z = b"\1\0" * (3 * u) + b"\1\0\1\1\1"
+        return head + b"\0\1\1\0" + z + _X1 * ((e - 6 * u - 9) // 6) + b"\0"
+    z = _X1 * (u + 1) + b"\0\1" * ((e - 7 - 6 * u) // 2)
+    return head + sup[:e] + b"\0" + z  # t % 6 == 5
 
 
 def _nd3_rows(m: int, e: int, d: int) -> bytes:
@@ -282,32 +261,24 @@ def _ndodd_rows(m: int, e: int, d: int) -> bytes:
 
     The first row is the gcd = 1 row at modulus m; the other d - 1
     rows share a pattern picked by (e mod 6, m mod 6) for e = 1, 5 and
-    by (e mod 6, t mod 6) for e = 3 mod 6: cases A-D and E-H.
+    by (e mod 6, t mod 6) for e = 3 mod 6: cases A-D, and E-H, which
+    are _e3_head's head and the tail S0, S[:e], S[:e]0 or S (y0, x[e:],
+    x[:e]0 or x) for its super-block S.
     """
-    k = e // 6
-    s, t = divmod(m, e)
-    u = t // 6
     v = m // 6
-    x1, x3 = _X1, _X2
-    y = b"\0\0\0" + x3 * k + b"\0\1\1" + x1 * k
-    z = b"\0\1\1" + x1 * k + b"\0\0\0" + x3 * k
     if e % 6 == 1 and m % 6 == 1:  # A
-        a2 = x1 * v + b"\0"
+        a2 = _X1 * v + b"\0"
     elif e % 6 == 1 and m % 6 == 5:  # B
         a2 = b"\1\1\0\0\0\1" * v + b"\1\1\0\0\0"
     elif e % 6 == 5 and m % 6 == 1:  # C
-        a2 = b"\0" + x1 * v
+        a2 = b"\0" + _X1 * v
     elif e % 6 == 5 and m % 6 == 5:  # D
-        a2 = b"\0\1\1" + x1 * v + b"\0\0"
-    elif t % 6 == 1:  # E
-        a2 = x1 * u + y * (s // 2) + b"\0"
-    elif t % 6 == 2:  # F
-        a2 = b"\0\1" + x1 * u + y * ((s - 1) // 2) + b"\0\0\0" + x3 * k
-    elif t % 6 == 4:  # G
-        head = b"\0\0\0" + x3 * u + z * ((s - 1) // 2)
-        a2 = head + b"\0\1\1" + x1 * k + b"\0"
-    else:  # H, t % 6 == 5
-        a2 = b"\0\1\1\0\0" + x3 * u + z * (s // 2)
+        a2 = b"\0\1\1" + _X1 * v + b"\0\0"
+    else:  # E-H by t mod 6 = 1, 2, 4, 5
+        head, sup = _e3_head(m, e)
+        t6 = m % e % 6
+        tail = sup if t6 in (1, 5) else sup[:e]
+        a2 = head + tail + b"\0" if t6 in (1, 4) else head + tail
     return _gcd1_rows(m, e, 1) + a2 * (d - 1)
 
 
@@ -364,9 +335,16 @@ def _kasami_form(r: int, n: int) -> tuple[str, int, bytes]:
     flat = build(m, e, d)
     if tag.endswith("_REFLECTED"):
         # the two inverses differ by the cyclotomic shift -2r, which in
-        # each row takes column j from the partner's column (2 - j) mod m
-        rows = [flat[i : i + m] for i in range(0, n, m)]
-        flat = b"".join([row[2::-1] + row[:2:-1] for row in rows])
+        # each row takes column j from the partner's column (2 - j) mod m;
+        # slice d rows or m columns, whichever are fewer
+        if m > d:
+            rows = [flat[i : i + m] for i in range(0, n, m)]
+            flat = b"".join([row[2::-1] + row[:2:-1] for row in rows])
+        else:
+            out = bytearray(n)
+            for j in range(m):
+                out[j::m] = flat[(2 - j) % m :: m]
+            flat = bytes(out)
     return f"KASAMI_{tag}", _kasami_weight(n, d, m, e), flat
 
 

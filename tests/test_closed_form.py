@@ -618,6 +618,15 @@ def test_large_n_closed_form_paths():
         ("kasami", 3003, 9009),  # ND3_E6K1, d = 3003, m = 3
         ("gold", 3003, 9009),  # GOLD_GCDS, d = 3003, m = 3
         ("bracken_leander", 4007, 16028),  # BL, d = 4007, m = 4
+        # e = 3 mod 6 rows with k >= 2, u >= 1 and at least one super-block
+        ("kasami", 818, 1009),  # GCD1_E6K3_T6U1
+        ("kasami", 48, 1007),  # GCD1_E6K3_T6U2
+        ("kasami", 325, 1009),  # GCD1_E6K3_T6U4
+        ("kasami", 873, 1013),  # GCD1_E6K3_T6U5
+        ("kasami", 222, 1029),  # NDODD_CASE_E, d = 3
+        ("kasami", 1020, 1041),  # NDODD_CASE_F, d = 3
+        ("kasami", 301, 1015),  # NDODD_CASE_G, d = 7
+        ("kasami", 270, 1041),  # NDODD_CASE_H, d = 3
     ],
 )
 def test_large_certificates_match_oracle_and_recurrence(kind, r, n):
