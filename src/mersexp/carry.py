@@ -56,12 +56,10 @@ __all__ = [
     "CongruenceError",
     "SignedPowerForm",
     "CarrySequence",
-    "CarryReport",
     "signed_form",
     "canonical_form",
     "solve_carries",
     "verify_congruence",
-    "carry_constraints_check",
 ]
 
 
@@ -337,7 +335,7 @@ def verify_congruence(
 ) -> CarrySequence:
     """Decide s = l*a mod 2^n - 1 and return the certifying carries.
 
-    Solves, then checks the word as carry_constraints_check does: raises
+    Solves, then checks the word by _certificate_fault: raises
     CongruenceError when the congruence fails, RuntimeError on a bug.
     """
     result = solve_carries(form, a, s)
@@ -345,43 +343,3 @@ def verify_congruence(
         raise RuntimeError(f"{fault}; this is a bug")
     return result
 
-
-class CarryReport(_Record):
-    """Constraint checks for a kasami-form carry word.
-
-    pair_bound_ok:    every c[i] + c[i-r] lies in {-1, 0, 1}
-    half_weight_ok:   |weight(c)| <= n/2
-    weight_identity:  weight(c) + weight(s) = weight(a)
-    """
-
-    _fields = "carry_weight pair_bound_ok half_weight_ok weight_identity"
-
-
-def carry_constraints_check(
-    c: CarrySequence,
-    form: SignedPowerForm,
-    r: int,
-    a: BitSequence,
-    s: BitSequence,
-) -> CarryReport:
-    """Check the extra constraints a kasami carry word must satisfy.
-
-    Requires the three-term kasami form with parameter r.  c is checked
-    without solving, as verify_congruence checks a solved word, and a
-    ValueError names what keeps it from certifying s = l*a.
-    """
-    if form != canonical_form(ExponentFamily("kasami", r)):
-        raise ValueError(f"not a kasami form with parameter {r}")
-    if fault := _certificate_fault(form, a, s, c):
-        raise ValueError(fault)
-    n, carries = c.n, c.carries
-    w = sum(carries)
-    pair_ok = all(
-        carries[i] + carries[(i - r) % n] in (-1, 0, 1) for i in range(n)
-    )
-    return CarryReport(
-        carry_weight=w,
-        pair_bound_ok=pair_ok,
-        half_weight_ok=2 * abs(w) <= n,
-        weight_identity=w + s.weight() == a.weight(),
-    )

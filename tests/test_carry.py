@@ -9,7 +9,6 @@ from mersexp import (
     ExponentFamily,
     Residue,
     canonical_form,
-    carry_constraints_check,
     fold_mod,
     signed_form,
     solve_carries,
@@ -17,6 +16,7 @@ from mersexp import (
     verify_congruence,
 )
 
+from mersexp.carry import _certificate_fault
 from mersexp.cli import MAX_CARRY_RANGE
 
 from carry_oracle import propagate
@@ -223,15 +223,15 @@ def test_form_bounds_are_cached_outside_the_fields():
 
 
 def test_constraints_check_names_the_fault_of_a_corrupted_word():
-    # the word is judged as given, by the check verify_congruence makes:
-    # a carry moved by +-1 (still in range), out of range, or beyond a
-    # signed byte is refused with a ValueError naming the fault
+    # _certificate_fault, the check verify_congruence makes, judges the
+    # word as given: a carry moved by +-1 (still in range), out of range,
+    # or beyond a signed byte, or a word of the wrong length, is named
     form = canonical_form(ExponentFamily("kasami", 3))
     n = 101
     a = bits_of(random.Random(5).randrange((1 << n) - 1), n)
     s = bits_of(form.value() * a.value % ((1 << n) - 1), n)
     good = solve_carries(form, a, s)
-    assert carry_constraints_check(good, form, 3, a, s).weight_identity
+    assert _certificate_fault(form, a, s, good) is None
     lo, hi = form.t_minus, form.t_plus - 1
     for step, message in (
         (1, "does not reproduce s"),
@@ -241,17 +241,14 @@ def test_constraints_check_names_the_fault_of_a_corrupted_word():
     ):
         c = list(good.carries)
         c[n // 2] += step if lo <= c[n // 2] + step <= hi else -step
-        with pytest.raises(ValueError, match=message) as caught:
-            carry_constraints_check(CarrySequence(n, c), form, 3, a, s)
-        assert not isinstance(caught.value, CongruenceError)
+        assert message in _certificate_fault(form, a, s, CarrySequence(n, c))
     short = CarrySequence(n - 1, good.carries[:-1])
-    with pytest.raises(ValueError, match="lengths differ"):
-        carry_constraints_check(short, form, 3, a, s)
+    assert "lengths differ" in _certificate_fault(form, a, s, short)
 
 
 def test_constraints_check_accepts_the_enumerated_word():
     # seeded kasami (r, n, a): the one word seed enumeration finds passes
-    # the check unsolved, with the report the solved word gets
+    # the check unsolved, and it is the word the solver finds
     rng = random.Random(48)
     for _ in range(60):
         n = rng.randrange(4, 49)
@@ -260,10 +257,8 @@ def test_constraints_check_accepts_the_enumerated_word():
         a = bits_of(rng.randrange((1 << n) - 1), n)
         s = bits_of(form.value() * a.value % ((1 << n) - 1), n)
         (word,) = enumerated_carries(form, a, s)
-        report = carry_constraints_check(CarrySequence(n, word), form, r, a, s)
-        solved = solve_carries(form, a, s)
-        assert report == carry_constraints_check(solved, form, r, a, s)
-        assert report.carry_weight == sum(word)
+        assert _certificate_fault(form, a, s, CarrySequence(n, word)) is None
+        assert solve_carries(form, a, s).carries == word
 
 
 def test_a_fault_in_the_packed_solver_is_a_bug_not_a_failed_congruence(
@@ -537,24 +532,54 @@ def test_kasami_carry_range():
     assert (form.t_minus, form.t_plus - 1) == (-1, 1)
 
 
-def test_constraints_check_report():
-    form = canonical_form(ExponentFamily("kasami", 3))
-    a, s = bits_of(78, 7), bits_of(1, 7)
-    c = solve_carries(form, a, s)
-    report = carry_constraints_check(c, form, 3, a, s)
-    assert report.pair_bound_ok
-    assert report.half_weight_ok
-    assert report.weight_identity
-    assert report.carry_weight == 3
-
-
 def test_constraints_check_rejects_wrong_carries():
-    from mersexp import CarrySequence
-
     form = canonical_form(ExponentFamily("kasami", 3))
     a, s = bits_of(78, 7), bits_of(1, 7)
-    with pytest.raises(ValueError):
-        carry_constraints_check(CarrySequence(7, (0,) * 7), form, 3, a, s)
-    with pytest.raises(ValueError):
-        # not a kasami form for this parameter
-        carry_constraints_check(solve_carries(form, a, s), form, 2, a, s)
+    zeros = CarrySequence(7, (0,) * 7)  # in range, but not the word of s
+    fault = _certificate_fault(form, a, s, zeros)
+    assert fault == "carry word does not reproduce s"
+
+
+def assert_kasami_lemmas(c, r, a, s):
+    """README's three lemmas on a kasami carry word c of s = K_r * a, as
+    perfbench/checker.py's kasami_constraints states them."""
+    n, carries = c.n, c.carries
+    w = sum(carries)
+    pairs = {carries[i] + carries[(i - r) % n] for i in range(n)}
+    assert pairs <= {-1, 0, 1}, "pair bound"
+    assert 2 * abs(w) <= n, "half-weight bound"
+    assert w + s.weight() == a.weight(), "weight identity"
+
+
+def test_kasami_carry_lemmas_hold_on_every_small_congruence():
+    # every held kasami congruence s = K_r * a with 2 <= n <= 11, every
+    # r in [1, 2n] (r >= n and multiples of n included) and every a;
+    # K_3^-1 = 78 at n = 7 has the carry word of weight wt(78) - 1 = 3
+    solved = 0
+    for n in range(2, 12):
+        mask = (1 << n) - 1
+        words = [bits_of(v, n) for v in range(mask)]
+        for r in range(1, 2 * n + 1):
+            form = canonical_form(ExponentFamily("kasami", r))
+            l = form.value() % mask
+            for a in range(mask):
+                bits_a, bits_s = words[a], words[l * a % mask]
+                c = solve_carries(form, bits_a, bits_s)
+                assert_kasami_lemmas(c, r, bits_a, bits_s)
+                solved += 1
+    assert solved == 81_790
+    form = canonical_form(ExponentFamily("kasami", 3))
+    assert solve_carries(form, bits_of(78, 7), bits_of(1, 7)).weight() == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kasami_carry_lemmas_hold_at_larger_n(data):
+    n = data.draw(st.integers(2, 399))
+    r = data.draw(st.integers(1, 2 * n))
+    mask = (1 << n) - 1
+    a = data.draw(st.integers(0, mask - 1))
+    form = canonical_form(ExponentFamily("kasami", r))
+    bits_a, bits_s = bits_of(a, n), bits_of(form.value() * a % mask, n)
+    c = solve_carries(form, bits_a, bits_s)
+    assert_kasami_lemmas(c, r, bits_a, bits_s)

@@ -1,6 +1,6 @@
 """The value types are immutable records with a frozen dataclass's contract.
 
-One instance of each of the ten classes: fields cannot be assigned or
+One instance of each of the nine classes: fields cannot be assigned or
 deleted; equal fields give equal objects with equal hashes; an object
 of another class never compares equal; repr lists the fields as a
 dataclass's would; copy, deepcopy and pickle give back an equal object.
@@ -15,7 +15,6 @@ import pytest
 import mersexp
 from mersexp import (
     BitSequence,
-    CarryReport,
     CarrySequence,
     CatalogEntry,
     ExponentFamily,
@@ -35,7 +34,6 @@ BUILD = {
     ExponentFamily: lambda: ExponentFamily("gold", 3),
     SignedPowerForm: lambda: SignedPowerForm(((0, 1), (3, -1), (6, 1))),
     CarrySequence: lambda: CarrySequence(3, (0, 300, -1)),
-    CarryReport: lambda: CarryReport(2, True, True, False),
     RMatrix: lambda: RMatrix(4, 2, [(1, 0), (0, -1)]),
     InverseResult: lambda: mersexp.kasami_inverse(3, 7),
     FieldContext: lambda: FieldContext(5),
@@ -50,12 +48,6 @@ FIELDS = {
     ExponentFamily: ("kind", "param"),
     SignedPowerForm: ("terms",),
     CarrySequence: ("n", "word"),
-    CarryReport: (
-        "carry_weight",
-        "pair_bound_ok",
-        "half_weight_ok",
-        "weight_identity",
-    ),
     RMatrix: ("n", "r", "flat"),
     InverseResult: (
         "inverse",
@@ -166,19 +158,11 @@ def test_positional_keyword_and_default_fields():
     assert InverseResult(*fields[:2], **rest) == res
     assert InverseResult(*fields).warnings == ()
     assert InverseResult(*fields, ("w",)).warnings == ("w",)
-    report = CarryReport(
-        carry_weight=2,
-        pair_bound_ok=True,
-        half_weight_ok=True,
-        weight_identity=False,
-    )
-    assert report == BUILD[CarryReport]()
     for bad in (
         lambda: InverseResult(*fields[:4]),  # carry_matrix missing
         lambda: InverseResult(*fields, (), None),  # one too many
         lambda: InverseResult(*fields, unknown=1),
         lambda: InverseResult(*fields, inverse=fields[0]),  # given twice
-        lambda: CarryReport(2, True, True),
     ):
         with pytest.raises(TypeError):
             bad()
