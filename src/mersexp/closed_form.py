@@ -2,28 +2,26 @@
 
 _CLOSED_FORMS is the one place that states which (r, n) each closed
 form covers and how its r-matrix is made.  closed_form_inverse checks
-the input once against the kind's row, asks the row's case for the
-label, weight and flat (the r-matrix as RMatrix.flat, rows back to
-back) and hands flat to _certified, which reads the word off it, proves
-it the inverse by solving its carry word and ships it with the
-r-matrices of the inverse and of that carry word.
+the input once against the kind's row and asks the row's case for one
+_Case record: the label, the weight, the parameters the case read and
+its row builder.  _flat, the one build function, makes the flat (the
+r-matrix as RMatrix.flat, rows back to back) from the record, and
+_certified reads the word off it, proves it the inverse by solving its
+carry word and ships it with the r-matrices of the inverse and of that
+carry word.  kasami_degree_bounds reads the record and builds nothing.
 
-The rows are fixed periodic column blocks selected by a handful of
-derived parameters:
-
-    d = gcd(r, n),  m = n/d,
-    e = least positive residue of the inverse of r/d mod m,
-    s, t from m = s*e + t (0 <= t < e),  k = e // 6,  u = t // 6.
-
-_kasami_case decides the kasami case, its tag and its parameters from
-this arithmetic alone; its row builder then makes flat.  The e = 3
-mod 6 rows, GCD1's one row and NDODD's repeated row in cases E-H,
-share one head, _e3_head, and differ only in their tails.
+Every case reads d = gcd(r, n), m = n/d and an odd e, 1 for gold and
+bracken-leander.  A kasami case takes e as the least positive residue
+of the inverse of r/d mod m, reflected to m - e when that is even; its
+rows are fixed periodic column blocks picked from m, e and d alone,
+with s, t from m = s*e + t (0 <= t < e), k = e // 6 and u = t // 6.
+The e = 3 mod 6 rows, GCD1's one row and NDODD's repeated row in cases
+E-H, share one head, built once by _e3_row, and differ only in their tails.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections import namedtuple
 from math import gcd
 
 from .carry import canonical_form, solve_carries
@@ -122,6 +120,32 @@ def _certified(
     )
 
 
+# a closed form's case at (r, n): label, weight, the d, m and odd e it
+# read, the builder rows(m, e, d) and whether _flat maps its columns
+_Case = namedtuple("_Case", "label weight d m e rows reflected")
+
+
+def _flat(case: _Case) -> bytes:
+    """The flat r-matrix of case: rows(m, e, d), d rows of m.
+
+    A reflected case's inverse is its partner's times 2^(-2r), a
+    cyclotomic shift that in each row takes column j from the partner's
+    column (2 - j) mod m; the map slices d rows or m columns, whichever
+    are fewer.
+    """
+    d, m = case.d, case.m
+    flat = case.rows(m, case.e, d)
+    if not case.reflected:
+        return flat
+    if m > d:
+        rows = [flat[i : i + m] for i in range(0, d * m, m)]
+        return b"".join([row[2::-1] + row[:2:-1] for row in rows])
+    out = bytearray(d * m)
+    for j in range(m):
+        out[j::m] = flat[(2 - j) % m :: m]
+    return bytes(out)
+
+
 # ---------------------------------------------------------------------------
 # gold exponents 2^r + 1
 # ---------------------------------------------------------------------------
@@ -140,19 +164,19 @@ def _gold_refusal(r: int, n: int) -> NotInvertibleError:
     )
 
 
-def _gold_form(r: int, n: int) -> tuple[str, int, bytes]:
-    """(label, weight, flat) of the gold inverse, weight (n - d + 2) / 2.
-
-    The r-matrix has d - 1 identical rows with ones at even columns
-    >= 2 and a last row with ones at column 0 and the odd columns; for
-    d = 1 the single row gives sum(2^(2*i*r), i = 0 .. (n-1)/2).
-    """
+def _gold_case(r: int, n: int) -> _Case:
+    """The gold case, weight (n - d + 2) / 2."""
     d = gcd(r, n)
-    m = n // d
+    label = "GOLD_GCD1" if d == 1 else "GOLD_GCDS"
+    return _Case(label, (n - d + 2) // 2, d, n // d, 1, _gold_rows, False)
+
+
+def _gold_rows(m: int, e: int, d: int) -> bytes:
+    """d - 1 rows with ones at the even columns >= 2, then a row with
+    ones at column 0 and the odd columns (d = 1: sum of 2^(2*i*r))."""
     top = b"\0" + b"\0\1" * (m // 2)  # m is odd
     bottom = b"\1" + b"\1\0" * (m // 2)
-    label = "GOLD_GCD1" if d == 1 else "GOLD_GCDS"
-    return label, (n - d + 2) // 2, top * (d - 1) + bottom
+    return top * (d - 1) + bottom
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +220,36 @@ def _kasami_weight(n: int, d: int, m: int, e: int) -> int:
     return (n - c * d + 2) // 2
 
 
-def _e3_head(m: int, e: int) -> tuple[bytes, bytes]:
-    """(head, S) shared by the e = 3 mod 6 rows of GCD1 and NDODD E-H.
+def _e3_row(m: int, e: int) -> tuple[bytes, bytes, bytes]:
+    """(row, head, S): the d = 1 row for e = 3 mod 6, its head and the
+    super-block S, which the repeated row of NDODD E-H reuses.
 
     With k = e // 6, s, t = divmod(m, e) and u = t // 6, the super-block
     x = 011 X1^k 000 X2^k has 2e bytes and y = x[e:] + x[:e]; head is
     prefix + B^u + S^((s - 1) // 2) with (prefix, B, S) = ("", X1, y),
-    (01, X1, y), (000, X2, x) or (01100, X2, x) for t = 1, 2, 4, 5 mod 6.
+    (01, X1, y), (000, X2, x) or (01100, X2, x) for t = 1, 2, 4, 5 mod
+    6, and the row is head and a tail picked by t mod 6.
     """
     k = e // 6
     s, t = divmod(m, e)
+    u = t // 6
     lo, hi = b"\0\1\1" + _X1 * k, b"\0\0\0" + _X2 * k  # x = lo + hi
     prefix = (None, b"", b"\0\1", None, b"\0\0\0", b"\0\1\1\0\0")[t % 6]
     block, sup = (_X1, hi + lo) if t % 6 < 3 else (_X2, lo + hi)
-    return prefix + block * (t // 6) + sup * ((s - 1) // 2), sup
+    head = prefix + block * u + sup * ((s - 1) // 2)
+    if t % 6 == 1:  # the first byte, a 0 of X1*u, y or 000, is a 1
+        z = b"\0\1" * ((e - 3 - 6 * u) // 2)
+        tail = sup[:e] + b"\0\1\1" + _X1 * u + z + b"\0"
+        row = b"\1" + (head + tail)[1:]
+    elif t % 6 == 2:
+        row = head + b"\0\0" + b"\1\0" * (3 * u) + b"\1" + _X2 * (k - u)
+    elif t % 6 == 4:
+        z = b"\1\0" * (3 * u) + b"\1\0\1\1\1"
+        row = head + b"\0\1\1\0" + z + _X1 * ((e - 6 * u - 9) // 6) + b"\0"
+    else:  # t % 6 == 5
+        z = _X1 * (u + 1) + b"\0\1" * ((e - 7 - 6 * u) // 2)
+        row = head + sup[:e] + b"\0" + z
+    return row, head, sup
 
 
 def _gcd1_rows(m: int, e: int, d: int) -> bytes:
@@ -217,28 +257,14 @@ def _gcd1_rows(m: int, e: int, d: int) -> bytes:
 
     The row is the decimated inverse word in r-ordering: the inverse
     is sum(row[i] * 2^(-i*r)).  The ND3 and NDODD rows reuse it at
-    modulus m.  For e = 3 mod 6 the row is _e3_head's head and a tail
-    picked by t mod 6.
+    modulus m.  For e = 3 mod 6 the row is _e3_row's.
     """
     k, rem = divmod(e, 6)
     if rem == 1:
         return b"\1" + b"\1\0" * ((m - e) // 2) + b"\1\1\1\0\0\0" * k
     if rem == 5:
         return b"\0" + b"\0\1" * ((m - e + 2) // 2) + b"\1\1" + _X1 * k
-    head, sup = _e3_head(m, e)
-    t = m % e
-    u = t // 6
-    if t % 6 == 1:  # the first byte, a 0 of X1*u, y or 000, is a 1
-        z = b"\0\1" * ((e - 3 - 6 * u) // 2)
-        tail = sup[:e] + b"\0\1\1" + _X1 * u + z + b"\0"
-        return b"\1" + (head + tail)[1:]
-    if t % 6 == 2:
-        return head + b"\0\0" + b"\1\0" * (3 * u) + b"\1" + _X2 * (k - u)
-    if t % 6 == 4:
-        z = b"\1\0" * (3 * u) + b"\1\0\1\1\1"
-        return head + b"\0\1\1\0" + z + _X1 * ((e - 6 * u - 9) // 6) + b"\0"
-    z = _X1 * (u + 1) + b"\0\1" * ((e - 7 - 6 * u) // 2)
-    return head + sup[:e] + b"\0" + z  # t % 6 == 5
+    return _e3_row(m, e)[0]
 
 
 def _nd3_rows(m: int, e: int, d: int) -> bytes:
@@ -262,7 +288,7 @@ def _ndodd_rows(m: int, e: int, d: int) -> bytes:
     The first row is the gcd = 1 row at modulus m; the other d - 1
     rows share a pattern picked by (e mod 6, m mod 6) for e = 1, 5 and
     by (e mod 6, t mod 6) for e = 3 mod 6: cases A-D, and E-H, which
-    are _e3_head's head and the tail S0, S[:e], S[:e]0 or S (y0, x[e:],
+    are _e3_row's head and the tail S0, S[:e], S[:e]0 or S (y0, x[e:],
     x[:e]0 or x) for its super-block S.
     """
     v = m // 6
@@ -275,10 +301,11 @@ def _ndodd_rows(m: int, e: int, d: int) -> bytes:
     elif e % 6 == 5 and m % 6 == 5:  # D
         a2 = b"\0\1\1" + _X1 * v + b"\0\0"
     else:  # E-H by t mod 6 = 1, 2, 4, 5
-        head, sup = _e3_head(m, e)
+        row, head, sup = _e3_row(m, e)
         t6 = m % e % 6
         tail = sup if t6 in (1, 5) else sup[:e]
         a2 = head + tail + b"\0" if t6 in (1, 4) else head + tail
+        return row + a2 * (d - 1)
     return _gcd1_rows(m, e, 1) + a2 * (d - 1)
 
 
@@ -297,55 +324,33 @@ def _ndeven_rows(m: int, e: int, d: int) -> bytes:
     return a1 + ((odd_row + even_row) * (d // 2))[: (d - 1) * m]
 
 
-def _kasami_case(r: int, n: int) -> tuple[str, int, int, int, Callable]:
-    """The kasami case at invertible (r, n): (tag, d, m, e, build).
+def _kasami_case(r: int, n: int) -> _Case:
+    """The kasami case at invertible (r, n), from its arithmetic alone.
 
-    d = gcd(r, n) and m = n/d.  e is made odd: an even e (m is then
-    odd) becomes m - e, the e of the partner parameter n - r, and the
-    tag ends in _REFLECTED.  The branches are tried in order: m even,
-    3 | m, d = 1, then the other odd m.  build(m, e, d) returns the
-    case's flat, d rows of m; a reflected case's is the partner's, whose
-    columns _kasami_form maps.
+    An even e (m is then odd) becomes m - e, the e of the partner n - r,
+    and the case is reflected, its label ending in _REFLECTED.  The
+    branches are tried in order: m even, 3 | m, d = 1, the other odd m.
     """
     d = gcd(r, n)
     m = n // d
     e = e_value(r, n)
-    suffix = ""
-    if e % 2 == 0:
-        e, suffix = m - e, "_REFLECTED"
+    reflected = e % 2 == 0
+    e = m - e if reflected else e
     t = m % e
     e6 = f"E6K{e % 6}_T6U{t % 6}" if e % 6 == 3 else f"E6K{e % 6}"
     if m % 2 == 0:
-        tag, build = f"NDEVEN_6K{m % 6}", _ndeven_rows
+        tag, rows = f"NDEVEN_6K{m % 6}", _ndeven_rows
     elif m % 3 == 0:
-        tag, build = f"ND3_{e6}", _nd3_rows
+        tag, rows = f"ND3_{e6}", _nd3_rows
     elif d == 1:
-        tag, build = f"GCD1_{e6}", _gcd1_rows
+        tag, rows = f"GCD1_{e6}", _gcd1_rows
     elif e % 6 == 3:  # E-H by t mod 6 = 1, 2, 4, 5
-        tag, build = f"NDODD_CASE_{'EF GH'[t % 6 - 1]}", _ndodd_rows
+        tag, rows = f"NDODD_CASE_{'EF GH'[t % 6 - 1]}", _ndodd_rows
     else:  # A-D by (e, m) mod 6 = (1, 1), (1, 5), (5, 1), (5, 5)
         case = "ABCD"[e % 6 // 2 + m % 6 // 4]
-        tag, build = f"NDODD_CASE_{case}", _ndodd_rows
-    return tag + suffix, d, m, e, build
-
-
-def _kasami_form(r: int, n: int) -> tuple[str, int, bytes]:
-    """(label, weight, flat) of the kasami inverse by case dispatch."""
-    tag, d, m, e, build = _kasami_case(r, n)
-    flat = build(m, e, d)
-    if tag.endswith("_REFLECTED"):
-        # the two inverses differ by the cyclotomic shift -2r, which in
-        # each row takes column j from the partner's column (2 - j) mod m;
-        # slice d rows or m columns, whichever are fewer
-        if m > d:
-            rows = [flat[i : i + m] for i in range(0, n, m)]
-            flat = b"".join([row[2::-1] + row[:2:-1] for row in rows])
-        else:
-            out = bytearray(n)
-            for j in range(m):
-                out[j::m] = flat[(2 - j) % m :: m]
-            flat = bytes(out)
-    return f"KASAMI_{tag}", _kasami_weight(n, d, m, e), flat
+        tag, rows = f"NDODD_CASE_{case}", _ndodd_rows
+    label = f"KASAMI_{tag}_REFLECTED" if reflected else f"KASAMI_{tag}"
+    return _Case(label, _kasami_weight(n, d, m, e), d, m, e, rows, reflected)
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +374,14 @@ def _bl_refusal(r: int, n: int) -> ValueError:
     return ValueError(f"parameter must be odd and positive, got {r}")
 
 
-def _bl_form(r: int, n: int) -> tuple[str, int, bytes]:
-    """(label, weight, flat) of the bracken-leander inverse, r odd.
+def _bl_case(r: int, n: int) -> _Case:
+    """d = r rows of m = 4, weight 2r + 1 = (n + 2) / 2."""
+    return _Case("BL", 2 * r + 1, r, 4, 1, _bl_rows, False)
 
-    The r-matrix has head row (1, 1, 1, 0), then alternating all-zero
-    and all-one rows of width 4; the weight is 2r + 1 = (n + 2) / 2.
-    """
-    return "BL", 2 * r + 1, b"\1\1\1\0" + b"\0\0\0\0\1\1\1\1" * (r // 2)
+
+def _bl_rows(m: int, e: int, d: int) -> bytes:
+    """Row 1110, then all-zero and all-one rows of 4 in turn, d odd."""
+    return b"\1\1\1\0" + b"\0\0\0\0\1\1\1\1" * (d // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +389,11 @@ def _bl_form(r: int, n: int) -> tuple[str, int, bytes]:
 # ---------------------------------------------------------------------------
 
 # kind -> (least n, the n that r fixes or None, covers(r, n), the refusal
-# for any other (r, n), case(r, n) -> (label, weight, flat))
+# for any other (r, n), case(r, n) -> _Case)
 _CLOSED_FORMS = {
-    "gold": (2, None, gold_invertible, _gold_refusal, _gold_form),
-    "kasami": (4, None, kasami_invertible, _kasami_refusal, _kasami_form),
-    "bracken_leander": (4, _bl_n, _bl_covers, _bl_refusal, _bl_form),
+    "gold": (2, None, gold_invertible, _gold_refusal, _gold_case),
+    "kasami": (4, None, kasami_invertible, _kasami_refusal, _kasami_case),
+    "bracken_leander": (4, _bl_n, _bl_covers, _bl_refusal, _bl_case),
 }
 
 
@@ -429,10 +435,9 @@ def closed_form_inverse(kind: str, r: int, n: int) -> InverseResult:
     kasami or bracken_leander; a free n below the least n is refused."""
     warnings: list[str] = []
     r, n = _checked(kind, r, n, warnings)
-    *_, case = _CLOSED_FORMS[kind]
-    label, weight, flat = case(r, n)
-    family = ExponentFamily(kind, r)
-    return _certified(family, n, flat, label, weight, warnings)
+    case = _CLOSED_FORMS[kind][-1](r, n)
+    family, flat = ExponentFamily(kind, r), _flat(case)
+    return _certified(family, n, flat, case.label, case.weight, warnings)
 
 
 def gold_inverse(r: int, n: int) -> InverseResult:
@@ -457,16 +462,17 @@ def bl_inverse(r: int) -> InverseResult:
 def kasami_degree_bounds(r: int, n: int) -> tuple[int, int, bool]:
     """Bounds on the weight (= algebraic degree) of the kasami inverse.
 
-    Returns (lower, upper, attained).  lower and upper are the case's
-    _kasami_weight at e = 3 and at e = 1; they coincide, pinning the
-    weight, when m = n/d is even or divisible by 3, where the weight
-    does not read e.  attained tells whether they differ and the case's
-    odd e is 3.
+    Returns (lower, upper, attained).  lower and upper are
+    _kasami_weight at the case's d and m and at e = 3 and e = 1; they
+    coincide, pinning the weight, when m = n/d is even or divisible by
+    3, where the weight does not read e.  attained tells whether they
+    differ and the case's odd e is 3.  No row is built.
     """
     r, n = _checked("kasami", r, n, [], least=False)
-    _, d, m, e, _ = _kasami_case(r, n)
+    case = _kasami_case(r, n)
+    d, m = case.d, case.m
     lower, upper = _kasami_weight(n, d, m, 3), _kasami_weight(n, d, m, 1)
-    return lower, upper, lower < upper and e == 3
+    return lower, upper, lower < upper and case.e == 3
 
 
 def kasami_inverse_equivalence(

@@ -24,7 +24,6 @@ __all__ = [
     "mul_mod",
     "ext_euclid_inverse",
     "binary_weight",
-    "cyclotomic_shift",
     "cyclotomic_canonical",
     "family_exponent",
     "is_invertible",
@@ -217,14 +216,6 @@ def binary_weight(x: Residue) -> int:
     GF(2^n).
     """
     return x.value.bit_count()
-
-
-def cyclotomic_shift(l: Residue, i: int) -> Residue:
-    """Multiply by 2^i mod 2^n - 1 (a cyclic shift of the bit word).
-
-    Negative i shifts the other way; i is reduced mod n.
-    """
-    return Residue(l.n, fold_mod(l.value << (i % l.n), l.n))
 
 
 def cyclotomic_canonical(l: Residue) -> Residue:

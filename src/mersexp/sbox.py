@@ -38,6 +38,7 @@ from operator import floordiv, xor
 from .orderings import _decimate, _plan
 from .residues import (
     ExponentFamily,
+    _integer,
     _Record,
     family_exponent,
     is_invertible,
@@ -165,15 +166,17 @@ class FieldContext(_Record):
     _fields = "n reduction_polynomial"
 
     def __init__(self, n: int, reduction_polynomial: int = 0) -> None:
+        n = _integer("n", n)
+        poly = _integer("reduction_polynomial", reduction_polynomial)
         if not 2 <= n <= MAX_FIELD_N:
             raise ValueError(
                 f"field analysis supports 2 <= n <= {MAX_FIELD_N}, got {n}"
             )
-        poly = reduction_polynomial or smallest_irreducible(n)
-        if reduction_polynomial and not is_irreducible(poly, n):
+        if poly and not is_irreducible(poly, n):
             raise ValueError(
                 f"0b{poly:b} is not a monic irreducible of degree {n}"
             )
+        poly = poly or smallest_irreducible(n)
         self.__dict__.update(n=n, reduction_polynomial=poly)
 
     @property

@@ -11,7 +11,6 @@ from mersexp import (
     binary_weight,
     bl_inverse,
     closed_form_inverse,
-    cyclotomic_shift,
     ext_euclid_inverse,
     family_exponent,
     fold_mod,
@@ -28,8 +27,11 @@ from mersexp import (
     to_r_matrix,
     verify_congruence,
 )
+from mersexp import closed_form
 from mersexp.carry import canonical_form
-from mersexp.closed_form import _certified, _kasami_case
+from mersexp.closed_form import _CLOSED_FORMS, _certified, _kasami_case
+
+from shift_oracle import cyclotomic_shift
 
 
 def oracle(l, n):
@@ -274,18 +276,19 @@ def test_every_dispatch_regime_to_n400():
     for n in range(4, 400):
         for r in range(1, n):
             if kasami_invertible(r, n):
-                tag, d, m, e, _ = _kasami_case(r, n)
-                s, t = divmod(m, e)
-                regime = (tag, min(e // 6, 2), t >= 6, min(s, 4), d == 1)
+                case = _kasami_case(r, n)
+                s, t = divmod(case.m, case.e)
+                k, gcd1 = min(case.e // 6, 2), case.d == 1
+                regime = (case.label, k, t >= 6, min(s, 4), gcd1)
                 first.setdefault(regime, (n, r))
     assert len(first) == 509
     assert sum(n <= 128 for n, _ in first.values()) == 479
     assert max(n for n, _ in first.values()) == 230
-    for (tag, *_), (n, r) in first.items():
+    for (label, *_), (n, r) in first.items():
         res = kasami_inverse(r, n)
         kasami = (1 << (2 * r)) - (1 << r) + 1
         assert res.inverse.value == pow(kasami, -1, (1 << n) - 1)
-        assert res.case_label == f"KASAMI_{tag}"
+        assert res.case_label == label
 
 
 def test_kasami_case_is_arithmetic_at_any_n():
@@ -296,16 +299,64 @@ def test_kasami_case_is_arithmetic_at_any_n():
         best = 1.0
         for _ in range(3):
             start = perf_counter()
-            tag, d, m, e, _ = _kasami_case(r, n)
+            case = _kasami_case(r, n)
             best = min(best, perf_counter() - start)
         assert best < 1e-3
-        assert (d, m, e % 2) == (1, n, 1)
-        reflected = tag.endswith("_REFLECTED")
-        assert e * r % n == (n - 1 if reflected else 1)
+        assert (case.d, case.m, case.e % 2) == (1, n, 1)
+        assert case.label.endswith("_REFLECTED") == case.reflected
+        assert case.e * r % n == (n - 1 if case.reflected else 1)
     # e = 2^60 reflects to 2^60 - 1 = 3 mod 6, and t = n mod e = 1
-    assert _kasami_case(2, n)[0] == "GCD1_E6K3_T6U1_REFLECTED"
+    assert _kasami_case(2, n).label == "KASAMI_GCD1_E6K3_T6U1_REFLECTED"
     lower, upper, attained = kasami_degree_bounds(pow(3, -1, n), n)
     assert (lower, upper, attained) == (-(-n // 3), n // 2 + 1, True)
+
+
+def test_kasami_case_parameters_to_n200():
+    # d = gcd(r, n) rows of m = n/d, and an odd e with e * (r/d) = 1 mod
+    # m, or -1 for a reflected case, which says so in its label
+    for n in range(4, 200):
+        for r in range(1, n):
+            if not kasami_invertible(r, n):
+                continue
+            case = _kasami_case(r, n)
+            d, m, e = case.d, case.m, case.e
+            assert d == gcd(r, n) and d * m == n and e % 2 == 1
+            sign = -1 if case.reflected else 1
+            assert e * (r // d) % m == sign % m
+            assert case.label.endswith("_REFLECTED") == case.reflected
+
+
+ROW_BUILDERS = (
+    "_flat", "_gold_rows", "_bl_rows", "_gcd1_rows", "_nd3_rows",
+    "_ndodd_rows", "_ndeven_rows", "_e3_row",
+)
+
+
+def test_cases_and_degree_bounds_build_no_row(monkeypatch):
+    # every case is named and weighed from its arithmetic: with each row
+    # builder raising, the bounds and the cases at n = 2^61 - 1 return
+    small = [
+        (r, n) for n in range(4, 200) for r in range(1, n)
+        if kasami_invertible(r, n)
+    ]
+    bounds = [kasami_degree_bounds(r, n) for r, n in small]
+
+    def built(*args):
+        raise AssertionError("a row was built")
+
+    for name in ROW_BUILDERS:
+        monkeypatch.setattr(closed_form, name, built)
+    assert [kasami_degree_bounds(r, n) for r, n in small] == bounds
+    big, r_bl = (1 << 61) - 1, (1 << 59) - 1
+    for kind, r, n, weight in (
+        ("gold", 3, big, (big + 1) // 2),  # big is prime, so d = 1
+        ("kasami", pow(3, -1, big), big, -(-big // 3)),
+        ("bracken_leander", r_bl, 4 * r_bl, 2 * r_bl + 1),
+    ):
+        case = _CLOSED_FORMS[kind][-1](r, n)
+        assert case.rows is built
+        assert case.d * case.m == n and case.e % 2 == 1
+        assert case.weight == weight
 
 
 def test_bl_examples():

@@ -133,6 +133,11 @@ _GOLD1 = canonical_form(ExponentFamily("gold", 1))
     pytest.param(lambda: FieldContext(4, 0b1011),
                  "0b1011 is not a monic irreducible of degree 4",
                  id="is_irreducible wrong degree"),
+    pytest.param(lambda: FieldContext(3.0), "n must be an integer, got 3.0",
+                 id="FieldContext n not an integer"),
+    pytest.param(lambda: FieldContext(5, 37.0),
+                 "reduction_polynomial must be an integer, got 37.0",
+                 id="FieldContext polynomial not an integer"),
     pytest.param(lambda: SignedPowerForm(((0, 1), (0, 2))),
                  "duplicate exponent 0",
                  id="SignedPowerForm repeated exponent"),

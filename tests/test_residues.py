@@ -13,13 +13,14 @@ from mersexp import (
     binary_weight,
     canonical_form,
     cyclotomic_canonical,
-    cyclotomic_shift,
     ext_euclid_inverse,
     family_exponent,
     fold_mod,
     mul_mod,
     to_bits,
 )
+
+from shift_oracle import cyclotomic_shift
 
 
 def test_to_bits_matches_expansion():
