@@ -27,7 +27,6 @@ from math import gcd
 from .carry import canonical_form, solve_carries
 from .orderings import (
     RMatrix,
-    e_value,
     from_r_matrix,
     matrix_of_sequence,
     to_r_matrix,  # unused here; the traced benchmark wraps it by this name
@@ -39,6 +38,7 @@ from .residues import (
     Residue,
     _integer,
     _Record,
+    _ring,
     binary_weight,
     ext_euclid_inverse,
     family_exponent,
@@ -104,7 +104,7 @@ def _certified(
             f"internal consistency failure: {label} at r={r}, n={n} "
             "does not invert its exponent"
         ) from None
-    inv = Residue(n, bits.value)
+    inv = Residue._of(n=n, value=bits.value)  # bits is not all ones
     if binary_weight(inv) != weight:
         raise RuntimeError(
             f"internal consistency failure: {label} at r={r}, n={n} "
@@ -152,8 +152,7 @@ def _flat(case: _Case) -> bytes:
 
 def gold_invertible(r: int, n: int) -> bool:
     """2^r + 1 is invertible mod 2^n - 1 iff n / gcd(n, r) is odd."""
-    if n < 2:
-        raise ValueError(f"ring parameter must be >= 2, got {n}")
+    r, n = _integer("r", r), _ring(n)
     d = gcd(r % n, n)
     return (n // d) % 2 == 1
 
@@ -189,9 +188,8 @@ def kasami_invertible(r: int, n: int) -> bool:
     Holds iff n / gcd(r, n) is odd, or it is even while r is even and
     gcd(r, n) = gcd(3r, n).
     """
-    if n < 2:
-        raise ValueError(f"ring parameter must be >= 2, got {n}")
-    r = r % n
+    n = _ring(n)
+    r = _integer("r", r) % n
     d = gcd(r, n)
     if (n // d) % 2 == 1:
         return True
@@ -333,7 +331,7 @@ def _kasami_case(r: int, n: int) -> _Case:
     """
     d = gcd(r, n)
     m = n // d
-    e = e_value(r, n)
+    e = pow(r // d, -1, m)
     reflected = e % 2 == 0
     e = m - e if reflected else e
     t = m % e
@@ -416,8 +414,7 @@ def _checked(
     if fixed_n is None:
         if least and n < least_n:
             raise ValueError(f"n must be >= {least_n}, got {n}")
-        if n < 2:
-            raise ValueError(f"ring parameter must be >= 2, got {n}")
+        _ring(n)
         if r < 1:
             raise ValueError(f"family parameter must be positive, got {r}")
         if r >= n:

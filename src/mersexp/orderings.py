@@ -28,23 +28,10 @@ from .residues import BitSequence, _Record
 
 __all__ = [
     "RMatrix",
-    "e_value",
     "to_r_matrix",
     "matrix_of_sequence",
     "from_r_matrix",
 ]
-
-
-def e_value(r: int, n: int) -> int:
-    """Least positive residue of the inverse of r/d mod n/d, d = gcd(n, r).
-
-    Drives the case dispatch of the closed forms.  By convention the
-    degenerate case n/d = 1 returns 0; callers reject it upstream.
-    """
-    if r < 1 or n < 1:
-        raise ValueError("r and n must be positive")
-    d = gcd(r, n)
-    return pow(r // d, -1, n // d)  # 0 when n/d = 1
 
 
 class RMatrix(_Record):

@@ -34,6 +34,22 @@ class NotInvertibleError(ValueError):
     """The element shares a factor with 2^n - 1 and has no inverse."""
 
 
+def _integer(name: str, value) -> int:
+    """value as a plain int; anything else raises ValueError naming it."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _ring(n) -> int:
+    """The ring parameter n as a plain int >= 2, else a ValueError."""
+    n = _integer("n", n)
+    if n < 2:
+        raise ValueError(f"ring parameter must be >= 2, got {n}")
+    return n
+
+
 def fold_mod(x: int, n: int) -> int:
     """Reduce a non-negative integer mod 2^n - 1 by chunk folding.
 
@@ -42,8 +58,7 @@ def fold_mod(x: int, n: int) -> int:
     The all-ones intermediate 2^n - 1 folds to 0, so the result is
     always a canonical representative in [0, 2^n - 2].
     """
-    if n < 2:
-        raise ValueError(f"ring parameter must be >= 2, got {n}")
+    n = _ring(n)
     if x < 0:
         raise ValueError("fold_mod expects a non-negative integer")
     width = n
@@ -56,14 +71,6 @@ def fold_mod(x: int, n: int) -> int:
         if width == n:
             return 0 if x == mask else x
         width //= 2
-
-
-def _integer(name: str, value) -> int:
-    """value as a plain int; anything else raises ValueError naming it."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class _Record:
@@ -114,9 +121,7 @@ class Residue(_Record):
     _fields = "n value"
 
     def __init__(self, n: int, value: int) -> None:
-        n, value = _integer("n", n), _integer("value", value)
-        if n < 2:
-            raise ValueError(f"ring parameter must be >= 2, got {n}")
+        n, value = _ring(n), _integer("value", value)
         if not 0 <= value <= (1 << n) - 2:
             raise ValueError(f"{value} is not canonical mod 2^{n} - 1")
         self.__dict__.update(n=n, value=value)
@@ -134,8 +139,7 @@ class BitSequence(_Record):
     _fields = "n word"
 
     def __init__(self, n: int, word: bytes) -> None:
-        if n < 2:
-            raise ValueError(f"ring parameter must be >= 2, got {n}")
+        n = _ring(n)
         if len(word) != n:
             raise ValueError(f"expected {n} bits, got {len(word)}")
         try:  # ints in [0, 255] only, or a buffer's raw bytes (wider items)
@@ -191,10 +195,10 @@ def ext_euclid_inverse(l: int, n: int) -> Residue:
     This is the independent oracle: it never consults the closed-form
     constructions.  Raises NotInvertibleError when gcd(l, 2^n - 1) > 1.
     """
+    l = _integer("l", l)
     if l < 1:
         raise ValueError(f"need a positive integer, got {l}")
-    if n < 2:
-        raise ValueError(f"ring parameter must be >= 2, got {n}")
+    n = _ring(n)
     m = (1 << n) - 1
     old_r, r = l % m, m
     old_s, s = 1, 0
@@ -279,8 +283,7 @@ def family_exponent(f: ExponentFamily, n: int) -> Residue:
     are not enforced here.  2^j = 2^(j mod n), so each term is reduced
     before the sum, which stays within a few bits of 2^n.
     """
-    if n < 2:
-        raise ValueError(f"ring parameter must be >= 2, got {n}")
+    n = _ring(n)
     terms = _FAMILIES[f.kind](f.param, n).items()
     total = sum(t << (j % n) for j, t in terms)
     return Residue(n, total % ((1 << n) - 1))
@@ -288,4 +291,4 @@ def family_exponent(f: ExponentFamily, n: int) -> Residue:
 
 def is_invertible(l: int, n: int) -> bool:
     """True iff gcd(l, 2^n - 1) = 1."""
-    return gcd(l, (1 << n) - 1) == 1
+    return gcd(_integer("l", l), (1 << _ring(n)) - 1) == 1

@@ -9,7 +9,6 @@ from mersexp import (
     CarrySequence,
     RMatrix,
     Residue,
-    e_value,
     from_r_matrix,
     matrix_of_sequence,
     to_bits,
@@ -21,17 +20,6 @@ from mersexp.sbox import _LIST_COPIES
 
 def bits_of(value, n):
     return to_bits(Residue(n, value))
-
-
-def test_e_value_examples():
-    assert e_value(3, 7) == 5
-    assert e_value(1, 12) == 1
-    assert e_value(2, 10) == 1  # d=2, r/d=1 inverted mod 5
-
-
-def test_e_value_degenerate_convention():
-    assert e_value(6, 6) == 0
-    assert e_value(14, 7) == 0
 
 
 def test_r_ordering_worked_example():

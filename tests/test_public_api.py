@@ -12,13 +12,18 @@ import pytest
 
 import mersexp
 from mersexp import (
+    BitSequence,
     ExponentFamily,
     FieldContext,
     Residue,
     SignedPowerForm,
     canonical_form,
-    e_value,
+    ext_euclid_inverse,
+    family_exponent,
     fold_mod,
+    gold_invertible,
+    is_invertible,
+    kasami_invertible,
     matrix_of_sequence,
     solve_carries,
     to_bits,
@@ -118,10 +123,35 @@ _GOLD1 = canonical_form(ExponentFamily("gold", 1))
     pytest.param(lambda: fold_mod(-1, 5),
                  "fold_mod expects a non-negative integer",
                  id="fold_mod x < 0"),
-    pytest.param(lambda: e_value(0, 5), "r and n must be positive",
-                 id="e_value r < 1"),
-    pytest.param(lambda: e_value(1, 0), "r and n must be positive",
-                 id="e_value n < 1"),
+    pytest.param(lambda: fold_mod(5, 3.0), "n must be an integer, got 3.0",
+                 id="fold_mod n not an integer"),
+    pytest.param(lambda: family_exponent(ExponentFamily("gold", 1), 5.0),
+                 "n must be an integer, got 5.0",
+                 id="family_exponent n not an integer"),
+    pytest.param(lambda: is_invertible(3, 5.0),
+                 "n must be an integer, got 5.0",
+                 id="is_invertible n not an integer"),
+    pytest.param(lambda: is_invertible(3.0, 5),
+                 "l must be an integer, got 3.0",
+                 id="is_invertible l not an integer"),
+    pytest.param(lambda: is_invertible(3, 1),
+                 "ring parameter must be >= 2, got 1",
+                 id="is_invertible n < 2"),
+    pytest.param(lambda: BitSequence(2.0, b"\0\1"),
+                 "n must be an integer, got 2.0",
+                 id="BitSequence n not an integer"),
+    pytest.param(lambda: gold_invertible(3, 7.0),
+                 "n must be an integer, got 7.0",
+                 id="gold_invertible n not an integer"),
+    pytest.param(lambda: gold_invertible(3.0, 7),
+                 "r must be an integer, got 3.0",
+                 id="gold_invertible r not an integer"),
+    pytest.param(lambda: kasami_invertible(3.0, 7),
+                 "r must be an integer, got 3.0",
+                 id="kasami_invertible r not an integer"),
+    pytest.param(lambda: ext_euclid_inverse(3.0, 5),
+                 "l must be an integer, got 3.0",
+                 id="ext_euclid_inverse l not an integer"),
     pytest.param(lambda: matrix_of_sequence([0, 1], 3, 1),
                  "expected 3 values, got 2", id="matrix_of_sequence length"),
     pytest.param(lambda: power_map(0, _GF16),
